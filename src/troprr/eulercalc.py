@@ -180,10 +180,9 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
             gg = face_polynomial_on_same_face(f_other, f_curve, fverts)
             if len(ff.terms) < 2 or len(gg.terms) < 2:
                 continue
-            pf = {tropical_hypersurface(ff).complex.cells[i].vertices[0]
-                  for i in tropical_hypersurface(ff).weights}
-            pg = {tropical_hypersurface(gg).complex.cells[i].vertices[0]
-                  for i in tropical_hypersurface(gg).weights}
+            hf, hg = tropical_hypersurface(ff), tropical_hypersurface(gg)
+            pf = {hf.complex.cells[i].vertices[0] for i in hf.weights}
+            pg = {hg.complex.cells[i].vertices[0] for i in hg.weights}
             if pf & pg:
                 raise ValueError("second curve hits a boundary point of the "
                                  "first; re-seed the instance")

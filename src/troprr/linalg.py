@@ -1,13 +1,18 @@
 """Exact rational and integer linear algebra used by the geometry modules.
 
-Everything here works over ``fractions.Fraction`` (or plain ints for lattice
-computations); no floating point is ever introduced.
+No floating point is ever introduced. Rational rows are scaled to integer
+rows by the lcm of their denominators (``_scale_to_int``), and every
+elimination runs on those integers: ``_eliminate`` is fraction-free
+Gauss–Jordan (each update ``p*row_i - f*pivot_row`` is divided by the row's
+content), and ``det`` is Bareiss elimination (Bareiss 1968). ``Fraction``
+objects are built only for the results that are rational: the entries of
+``rref``, ``nullspace`` and ``solve_linear``, and the value of ``det``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -52,18 +57,21 @@ def gcd_list(xs: Iterable[int]) -> int:
     return g
 
 
+def _scale_to_int(row: Sequence) -> tuple[list[int], int]:
+    """(integer row, factor): the rational row times the lcm of its
+    denominators, and that lcm."""
+    fr = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
+    m = lcm(*(a.denominator for a in fr))
+    return [a.numerator * (m // a.denominator) for a in fr], m
+
+
 def primitive(v: Sequence) -> IntVec:
     """Scale a nonzero rational vector to the primitive integer vector with the
     same orientation (gcd of entries 1)."""
-    fv = [Fraction(a) for a in v]
-    if all(a == 0 for a in fv):
+    iv, _ = _scale_to_int(v)
+    g = gcd(*iv)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for a in fv:
-        d = a.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    iv = [int(a * denom_lcm) for a in fv]
-    g = gcd_list(iv)
     return tuple(x // g for x in iv)
 
 
@@ -76,40 +84,58 @@ def sign_normalize(v: Sequence[int]) -> IntVec:
     return tuple(v)
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction. Returns (rref_rows, pivot_cols)."""
-    m = [[Fraction(a) for a in row] for row in rows]
+def _eliminate(rows: Sequence[Sequence], jordan: bool = True) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination of the rows scaled to primitive integer rows.
+
+    Returns (integer rows, pivot columns). Row r < len(pivots) has its first
+    nonzero entry in column pivots[r]; the rows after those are zero. With
+    ``jordan`` every pivot column is zero outside its pivot row, so row r
+    divided by its pivot is row r of the RREF; without it only the rows
+    below each pivot are cleared, which is enough for the rank.
+    """
+    m = []
+    for row in rows:
+        iv, _ = _scale_to_int(row)
+        g = gcd(*iv)
+        m.append([x // g for x in iv] if g > 1 else iv)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(m[i], prow)]
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return m, pivots
 
 
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction. Returns (rref_rows, pivot_cols)."""
+    m, pivots = _eliminate(rows)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    ncols = len(m[0]) if m else 0
+    out += [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))]
+    return out, pivots
+
+
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_eliminate(rows, jordan=False)[1])
 
 
 def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
@@ -118,15 +144,12 @@ def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
         return ()
     ncols = len(a_rows[0])
     aug = [list(row) + [bi] for row, bi in zip(a_rows, b, strict=True)]
-    m, pivots = rref(aug)
-    for row in m:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    m, pivots = _eliminate(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = m[r][-1]
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[-1], row[c])
     return tuple(x)
 
 
@@ -135,43 +158,59 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots = rref(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    m, pivots = _eliminate(rows)
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
 
+def kernel_line(rows: Sequence[Sequence], ncols: int) -> IntVec | None:
+    """Primitive integer generator of {x in Q^ncols : A x = 0} when that
+    kernel is a line (A has rank ncols - 1), else None."""
+    m, pivots = _eliminate(rows)
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    scale = lcm(*(row[pc] for row, pc in zip(m, pivots)))
+    v = [0] * ncols
+    v[free] = scale
+    for row, pc in zip(m, pivots):
+        v[pc] = -row[free] * (scale // row[pc])
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix over Fraction (fraction-free pivoting is
-    unnecessary at this scale)."""
-    n = len(rows)
-    m = [[Fraction(a) for a in row] for row in rows]
-    sign = 1
-    result = Fraction(1)
+    """Determinant of a square matrix: Bareiss fraction-free elimination on
+    the rows scaled to integers, divided by the product of the scale factors."""
+    m = []
+    scale = 1
+    for row in rows:
+        iv, s = _scale_to_int(row)
+        m.append(iv)
+        scale *= s
+    n = len(m)
+    sign, prev = 1, 1
     for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
             sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
+        p, prow = m[c][c], m[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result * sign
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVec]:
@@ -234,15 +273,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVec]:
 
 
 def scale_rows_to_int(rows: Sequence[Sequence]) -> list[IntVec]:
-    out = []
-    for row in rows:
-        fr = [Fraction(a) for a in row]
-        denom_lcm = 1
-        for a in fr:
-            d = a.denominator
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        out.append(tuple(int(a * denom_lcm) for a in fr))
-    return out
+    return [tuple(_scale_to_int(row)[0]) for row in rows]
 
 
 def lattice_basis_of_span(vectors: Sequence[Sequence], ambient_dim: int) -> list[IntVec]:
@@ -297,12 +328,7 @@ def quotient_generator(
         raise ValueError("sigma does not properly contain tau")
     # Image ell(sigma lattice) is a subgroup gZ of Q; find a lattice vector
     # hitting +/- g by the extended euclidean recombination.
-    values = [vdot(ell, b) for b in sigma_lattice]
-    denom_lcm = 1
-    for a in values:
-        d = Fraction(a).denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    int_values = [int(Fraction(a) * denom_lcm) for a in values]
+    int_values, _ = _scale_to_int([vdot(ell, b) for b in sigma_lattice])
     coeffs = _extended_gcd_combo(int_values)
     w = tuple(
         sum(c * b[i] for c, b in zip(coeffs, sigma_lattice)) for i in range(ambient_dim)

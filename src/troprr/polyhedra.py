@@ -3,7 +3,9 @@ complexes with explicit face relations, local cones, lineality spaces,
 sedentarity, and lattice-point enumeration.
 
 All polyhedra are stored as vertices + rays + lineality generators over exact
-rationals; half-space representations are derived on demand and cached.
+rationals; half-space representations are derived on demand, in primitive
+integer rows, and cached. Containment tests evaluate those integer rows on a
+positive integer multiple of the homogenized point or direction.
 """
 
 from __future__ import annotations
@@ -13,27 +15,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (
-    Fraction as _Fraction,
     IntVec,
     Vec,
+    det,
     frac,
     gcd_list,
     in_span,
-    integer_kernel,
     is_zero_vec,
+    kernel_line,
     lattice_basis_of_span,
     matrix_rank,
     nullspace,
     primitive,
-    rref,
-    scale_rows_to_int,
     sign_normalize,
     solve_linear,
     vadd,
     vdot,
     vscale,
     vsub,
-    det,
 )
 
 
@@ -115,6 +114,7 @@ class Polyhedron:
                 lin.append(lv)
         self.lineality = tuple(sorted(lin))
         self._hrep = None
+        self._int_hrep = None
         self._dim = None
         self._lattice = None
 
@@ -156,22 +156,33 @@ class Polyhedron:
     def hrep(self):
         """(equalities, inequalities) in homogeneous coordinates: a point x is
         in the polyhedron iff  e . (1, x) == 0 for all equalities and
-        f . (1, x) >= 0 for all inequalities."""
+        f . (1, x) >= 0 for all inequalities. Every row is a primitive
+        integer vector with Fraction entries."""
         if self._hrep is None:
-            self._hrep = _hrep_from_vrep(self)
+            self._int_hrep = _hrep_from_vrep(self)
+            self._hrep = tuple([tuple(Fraction(c) for c in row) for row in rows]
+                               for rows in self._int_hrep)
         return self._hrep
 
+    def _integer_hrep(self):
+        """hrep() with the same rows as integer tuples."""
+        if self._int_hrep is None:
+            self.hrep()
+        return self._int_hrep
+
+    def _satisfies(self, h: IntVec) -> bool:
+        """Whether the H-representation holds at h, a positive integer
+        multiple of a homogeneous point (1, x) or direction (0, d)."""
+        eqs, ineqs = self._integer_hrep()
+        return all(vdot(e, h) == 0 for e in eqs) and all(vdot(f, h) >= 0 for f in ineqs)
+
     def contains(self, point) -> bool:
-        x = _as_vec(point)
-        hx = (Fraction(1),) + tuple(x)
-        eqs, ineqs = self.hrep()
-        return all(vdot(e, hx) == 0 for e in eqs) and all(vdot(f, hx) >= 0 for f in ineqs)
+        return self._satisfies(primitive((1,) + _as_vec(point)))
 
     def contains_direction(self, d) -> bool:
         """Whether the direction d lies in the recession cone."""
-        hd = (Fraction(0),) + tuple(frac(c) for c in d)
-        eqs, ineqs = self.hrep()
-        return all(vdot(e, hd) == 0 for e in eqs) and all(vdot(f, hd) >= 0 for f in ineqs)
+        hd = (0,) + tuple(frac(c) for c in d)
+        return is_zero_vec(hd) or self._satisfies(primitive(hd))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         return all(self.contains(v) for v in other.vertices) and all(
@@ -210,83 +221,44 @@ class Polyhedron:
         )
 
 
-def _hrep_from_vrep(poly: Polyhedron):
-    """Facet enumeration of the homogenization cone."""
-    n = poly.ambient_dim
-    gens: list[Vec] = [(Fraction(1),) + v for v in poly.vertices]
-    gens += [(Fraction(0),) + tuple(Fraction(c) for c in r) for r in poly.rays]
+def _homogeneous_generators(poly: Polyhedron) -> list[IntVec]:
+    """Integer generators of the homogenization cone: a positive multiple of
+    (1, v) per vertex, (0, r) per ray and (0, +-l) per lineality vector."""
+    gens = [primitive((1,) + v) for v in poly.vertices] + [(0,) + r for r in poly.rays]
     for l in poly.lineality:
-        lv = tuple(Fraction(c) for c in l)
-        gens.append((Fraction(0),) + lv)
-        gens.append((Fraction(0),) + tuple(-c for c in lv))
-    # Linear equalities: covectors vanishing on all generators.
-    eqs = [tuple(e) for e in nullspace(gens)]
-    d = (n + 1) - len(eqs)  # dim of the homogenization cone's span
-    # Coordinates within the span.
-    span_basis = _column_space_basis(gens)
-    coords = [_coords_in_basis(g, span_basis) for g in gens]
-    ineqs: list[Vec] = []
-    seen = set()
-    if d >= 1:
-        for subset in itertools.combinations(range(len(gens)), max(d - 1, 0)):
-            sub = [coords[i] for i in subset]
-            if matrix_rank(sub) != d - 1:
-                continue
-            normals = nullspace(sub) if sub else [tuple(
-                Fraction(1) if i == j else Fraction(0) for j in range(d)
-            ) for i in range(d)]
-            if len(normals) != 1:
-                if d == 1 and not sub:
-                    normals = normals[:1]
-                else:
-                    continue
-            nrm = normals[0]
-            vals = [vdot(nrm, c) for c in coords]
-            if all(v >= 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals):
-                nrm = tuple(-x for x in nrm)
-            else:
-                continue
-            amb = _functional_to_ambient(nrm, span_basis)
-            amb = tuple(Fraction(c) for c in primitive(amb))
-            if amb not in seen:
-                seen.add(amb)
-                ineqs.append(amb)
-    eqs = [tuple(Fraction(c) for c in primitive(e)) for e in eqs]
-    return eqs, ineqs
+        gens.append((0,) + l)
+        gens.append((0,) + tuple(-c for c in l))
+    return gens
 
 
-def _column_space_basis(vectors):
-    basis = []
-    for v in vectors:
-        if not in_span(v, basis):
-            basis.append(tuple(v))
-    return basis
+def _hrep_from_vrep(poly: Polyhedron):
+    """Facet enumeration of the homogenization cone, in integer rows.
 
-
-def _coords_in_basis(v, basis):
-    if not basis:
-        return ()
-    sol = solve_linear(list(zip(*basis)), v)
-    if sol is None:
-        raise ValueError("vector not in span")
-    return sol
-
-
-def _functional_to_ambient(nrm, span_basis):
-    """Covector on span coordinates -> ambient covector agreeing on the span.
-
-    With G the matrix whose rows are the basis, coordinates of x are
-    (G G^T)^{-1} G x; the ambient covector is nrm^T (G G^T)^{-1} G.
+    The equalities span the covectors vanishing on every generator. A facet
+    normal lies in the cone's span and vanishes on d - 1 independent
+    generators, d the span's dimension, so it spans the kernel of those
+    generators stacked on the equalities; it is kept, oriented, if it has one
+    sign on every generator. Subsets are tried in `combinations` order.
     """
-    k = len(span_basis)
-    n = len(span_basis[0])
-    gram = [[vdot(span_basis[i], span_basis[j]) for j in range(k)] for i in range(k)]
-    y = solve_linear(gram, nrm)
-    if y is None:
-        raise ValueError("gram system unsolvable")
-    return tuple(sum(y[i] * span_basis[i][j] for i in range(k)) for j in range(n))
+    n = poly.ambient_dim
+    gens = _homogeneous_generators(poly)
+    eqs = [primitive(e) for e in nullspace(gens)]
+    d = (n + 1) - len(eqs)
+    ineqs: list[IntVec] = []
+    seen = set()
+    for subset in itertools.combinations(gens, d - 1):
+        nrm = kernel_line(list(subset) + eqs, n + 1)
+        if nrm is None:
+            continue
+        vals = [vdot(nrm, g) for g in gens]
+        if not all(v >= 0 for v in vals):
+            if not all(v <= 0 for v in vals):
+                continue
+            nrm = tuple(-x for x in nrm)
+        if nrm not in seen:
+            seen.add(nrm)
+            ineqs.append(nrm)
+    return eqs, ineqs
 
 
 def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedron | None:
@@ -383,15 +355,9 @@ def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedr
                     rays_s.add(primitive(dd))
         if not verts_s:
             return None
-    # Map back: s-coordinates -> t via solving [C^T s_coord] with the basis.
-    # t(s) solves comp-matrix system: choose t = sum s_i * comp_dual_i where
-    # comp_dual is the pseudo-inverse mapping; easiest exact route: pick t with
-    # comp . t = s and lin-normal . t = 0, i.e. solve the square system.
-    def s_to_t(s, homogeneous: bool):
-        rows = list(comp) + list(lin_t)
-        rhs = list(s) + [Fraction(0)] * len(lin_t)
-        t = solve_linear(rows, rhs)
-        return t
+    # Map back: t = C^T s, the substitution the reduced inequalities assume.
+    def s_to_t(s):
+        return tuple(sum(si * cv[j] for si, cv in zip(s, comp)) for j in range(k))
 
     def t_to_x(t, homogeneous: bool):
         x = tuple(sum(t[i] * null[i][j] for i in range(k)) for j in range(n))
@@ -399,8 +365,8 @@ def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedr
             x = vadd(x, p0)
         return x
 
-    verts = [t_to_x(s_to_t(s, False), False) for s in sorted(verts_s)]
-    rays = [t_to_x(s_to_t(r, True), True) for r in sorted(rays_s)]
+    verts = [t_to_x(s_to_t(s), False) for s in sorted(verts_s)]
+    rays = [t_to_x(s_to_t(r), True) for r in sorted(rays_s)]
     lin = [t_to_x(lv, True) for lv in lin_t]
     rays = [primitive(r) for r in rays if not is_zero_vec(r)]
     lin = [primitive(l) for l in lin if not is_zero_vec(l)]
@@ -528,18 +494,15 @@ def local_cone(c: PolyhedralComplex, x) -> PolyhedralComplex:
     containing = c.cells_containing(x)
     if not containing:
         raise ValueError("point not in the support of the complex")
-    xv = _as_vec(x)
-    hx = (Fraction(1),) + tuple(xv)
+    hx = primitive((1,) + _as_vec(x))
     cones: list[Polyhedron] = []
     keys = {}
     index_map = {}
     for i in containing:
-        eqs, ineqs = c.cells[i].hrep()
+        eqs, ineqs = c.cells[i]._integer_hrep()
         # Tangent cone at x: homogeneous parts of the tight constraints.
-        tight_ineqs = [f[1:] for f in ineqs if vdot(f, hx) == 0 and not is_zero_vec(f[1:])]
-        lin_eqs = [e[1:] for e in eqs if not is_zero_vec(e[1:])]
-        heqs = [(Fraction(0),) + tuple(e) for e in lin_eqs]
-        hineqs = [(Fraction(0),) + tuple(f) for f in tight_ineqs]
+        heqs = [(0,) + e[1:] for e in eqs if any(e[1:])]
+        hineqs = [(0,) + f[1:] for f in ineqs if vdot(f, hx) == 0 and any(f[1:])]
         cone = polyhedron_from_hrep(heqs, hineqs, c.ambient_dim)
         key = cone.canonical_key()
         if key not in keys:
@@ -619,25 +582,19 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
     hyperplanes = []
     seen = set()
     for c in cones:
-        eqs, ineqs = c.hrep()
-        for h in list(eqs) + list(ineqs):
-            key = sign_normalize(primitive(h)) if not is_zero_vec(h) else None
-            if key and key not in seen:
+        eqs, ineqs = c._integer_hrep()
+        for h in eqs + ineqs:
+            key = sign_normalize(h)
+            if key not in seen:
                 seen.add(key)
-                hyperplanes.append(tuple(Fraction(x) for x in key))
+                hyperplanes.append(key)
 
     def rec(piece: Polyhedron, depth: int) -> bool:
         if any(c.contains_polyhedron(piece) for c in cones):
             return True
         if depth > len(hyperplanes):
             return False
-        gens_pts = [(Fraction(1),) + v for v in piece.vertices]
-        gens_dirs = [(Fraction(0),) + tuple(Fraction(x) for x in r) for r in piece.rays]
-        for l in piece.lineality:
-            lv = tuple(Fraction(x) for x in l)
-            gens_dirs.append((Fraction(0),) + lv)
-            gens_dirs.append((Fraction(0),) + tuple(-x for x in lv))
-        gens = gens_pts + gens_dirs
+        gens = _homogeneous_generators(piece)
         peqs, pineqs = piece.hrep()
         for h in hyperplanes:
             vals = [vdot(h, g) for g in gens]
@@ -653,15 +610,6 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
         return False
 
     return rec(p, 0)
-
-
-def _cone_generators(cone: Polyhedron):
-    gens = [tuple(Fraction(c) for c in r) for r in cone.rays]
-    for l in cone.lineality:
-        lv = tuple(Fraction(c) for c in l)
-        gens.append(lv)
-        gens.append(tuple(-c for c in lv))
-    return gens
 
 
 def _intersect_subspaces(a, b, n):
@@ -713,13 +661,8 @@ class LatticePolytope:
     def interior_lattice_points(self) -> list[IntVec]:
         if self.dim < self.ambient_dim:
             return []
-        eqs, ineqs = self._poly.hrep()
-        out = []
-        for p in self.lattice_points():
-            hx = (Fraction(1),) + tuple(Fraction(c) for c in p)
-            if all(vdot(f, hx) > 0 for f in ineqs if not is_zero_vec(f[1:])):
-                out.append(p)
-        return out
+        facets = [f for f in self._poly._integer_hrep()[1] if any(f[1:])]
+        return [p for p in self.lattice_points() if all(vdot(f, (1,) + p) > 0 for f in facets)]
 
     def faces(self) -> list[tuple[int, tuple[IntVec, ...]]]:
         """All proper and improper nonempty faces as (dim, vertex tuple),
@@ -733,14 +676,10 @@ class LatticePolytope:
                 return
             sub = Polyhedron(list(vert_subset))
             found[key] = sub.dim
-            sub_eqs, sub_ineqs = sub.hrep()
-            for f in sub_ineqs:
-                if is_zero_vec(f[1:]):
+            for f in sub._integer_hrep()[1]:
+                if not any(f[1:]):
                     continue
-                tight = [
-                    v for v in vert_subset
-                    if vdot(f, (Fraction(1),) + tuple(Fraction(c) for c in v)) == 0
-                ]
+                tight = [v for v in vert_subset if vdot(f, (1,) + v) == 0]
                 if tight and len(tight) < len(vert_subset):
                     rec(tuple(tight))
 
@@ -798,16 +737,11 @@ def _fan_triangulation(vertices):
     if len(vertices) == d + 1:
         return [list(vertices)]
     base = vertices[0]
-    eqs, ineqs = poly.hrep()
     simplices = []
-    for f in ineqs:
-        hb = (Fraction(1),) + tuple(Fraction(c) for c in base)
-        if vdot(f, hb) == 0:
+    for f in poly._integer_hrep()[1]:
+        if vdot(f, (1,) + base) == 0:
             continue
-        facet_verts = [
-            v for v in vertices
-            if vdot(f, (Fraction(1),) + tuple(Fraction(c) for c in v)) == 0
-        ]
+        facet_verts = [v for v in vertices if vdot(f, (1,) + v) == 0]
         if not facet_verts or Polyhedron(facet_verts).dim != d - 1:
             continue
         for sub in _fan_triangulation(facet_verts):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,11 +8,13 @@ from troprr.linalg import (
     det,
     in_span,
     integer_kernel,
+    kernel_line,
     lattice_basis_of_span,
     matrix_rank,
     nullspace,
     primitive,
     quotient_generator,
+    rref,
     sign_normalize,
     solve_linear,
     vdot,
@@ -99,3 +102,124 @@ def test_primitive_is_primitive(v):
     for x in p:
         g = gcd(g, abs(x))
     assert g == 1
+
+
+# -- the integer kernel against plain Fraction Gauss-Jordan ------------------
+
+
+def oracle_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fraction."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [a / pv for a in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def oracle_det(rows):
+    """Leibniz expansion over Fraction."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Fraction(rows[i][j])
+        total += term
+    return total
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@st.composite
+def rational_matrices(draw, min_rows=1):
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=min_rows, max_size=5))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[draw(st.integers(0, len(rows) - 1))]))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows
+
+
+@given(rational_matrices())
+def test_rref_rank_nullspace_match_fraction_gauss_jordan(rows):
+    expected, pivots = oracle_rref(rows)
+    got, got_pivots = rref(rows)
+    assert got == expected and got_pivots == pivots
+    assert all(type(a) is Fraction for row in got for a in row)
+    assert matrix_rank(rows) == len(pivots)
+    ncols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -expected[r][fc]
+        basis.append(tuple(v))
+    assert nullspace(rows) == basis
+
+
+@given(rational_matrices(), st.data())
+def test_solve_linear_matches_fraction_gauss_jordan(rows, data):
+    b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    ncols = len(rows[0])
+    m, pivots = oracle_rref([list(row) + [bi] for row, bi in zip(rows, b)])
+    got = solve_linear(rows, b)
+    if ncols in pivots:
+        assert got is None
+        return
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][-1]
+    assert got == tuple(x)
+    assert all(vdot(row, got) == bi for row, bi in zip(rows, b))
+
+
+def test_solve_linear_inconsistent_and_empty():
+    assert solve_linear([(1, 2), (2, 4)], (1, 3)) is None
+    assert solve_linear([(0, 0)], (1,)) is None
+    assert solve_linear([(0, 0)], (0,)) == (0, 0)
+    assert solve_linear([], []) == ()
+    assert rref([]) == ([], []) and matrix_rank([]) == 0 and nullspace([]) == []
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_matches_leibniz_expansion(rows):
+    got = det(rows)
+    assert type(got) is Fraction and got == oracle_det(rows)
+
+
+@given(rational_matrices(min_rows=0), st.integers(1, 5))
+def test_kernel_line_is_the_primitive_kernel_generator(rows, ncols):
+    rows = [(list(row) + [0] * ncols)[:ncols] for row in rows]
+    v = kernel_line(rows, ncols)
+    if ncols - len(oracle_rref(rows)[1]) != 1:
+        assert v is None
+        return
+    assert v is not None and any(v)
+    assert all(vdot(row, v) == 0 for row in rows)
+    assert primitive(v) == v

@@ -2,7 +2,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from troprr.linalg import gcd_list, in_span, matrix_rank, vdot
 from troprr.polyhedra import (
     NEG_INF,
     LatticePolytope,
@@ -14,6 +16,7 @@ from troprr.polyhedra import (
     local_cone,
     normalized_volume,
     polyhedra_equal,
+    polyhedron_from_hrep,
     sedentarity,
     standard_simplex,
     validate_complex,
@@ -207,3 +210,112 @@ def test_polyhedra_equal():
     b = Polyhedron([(0, 0), (2, 0)])
     assert polyhedra_equal(a, b)
     assert not polyhedra_equal(a, Polyhedron([(0, 0), (1, 0)]))
+
+
+def test_hrep_rows_and_their_order():
+    rect = Polyhedron([(0, 0), (2, 0), (0, 1), (2, 1)])
+    assert rect.hrep() == ([], [(0, 1, 0), (0, 0, 1), (1, 0, -1), (2, -1, 0)])
+    wedge = Polyhedron([(0, 0, 0)], rays=[(1, 0, 0), (0, 1, 0)], lineality=[(0, 0, 1)])
+    assert wedge.hrep() == ([], [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)])
+    strip = Polyhedron([(Fraction(1, 2), 0), (0, Fraction(1, 3))], rays=[(1, 1)])
+    assert strip.hrep() == ([], [(-1, 2, 3), (1, 3, -3), (1, -2, 2)])
+    seg = Polyhedron([(0, 0, 1), (1, 1, 1)])
+    eqs, ineqs = seg.hrep()
+    assert eqs == [(0, -1, 1, 0), (-1, 0, 0, 1)] and ineqs == [(0, 1, 1, 0), (1, -1, -1, 1)]
+    assert all(type(c) is Fraction for row in eqs + ineqs for c in row)
+
+
+# -- properties of the H-representation on random polyhedra ------------------
+
+coords = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def points(n):
+    return st.lists(coords, min_size=n, max_size=n).map(tuple)
+
+
+def directions(n):
+    return st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(tuple)
+
+
+@st.composite
+def random_polyhedra(draw):
+    """A polytope, a cone, or a polyhedron with lineality, in R^1..R^3."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("polytope", "cone", "lineality")))
+    if kind == "polytope":
+        return Polyhedron(draw(st.lists(points(n), min_size=1, max_size=6)))
+    if kind == "cone":
+        return Polyhedron([(0,) * n], rays=draw(st.lists(directions(n), min_size=1, max_size=4)))
+    return Polyhedron(
+        draw(st.lists(points(n), min_size=1, max_size=3)),
+        rays=draw(st.lists(directions(n), max_size=2)),
+        lineality=draw(st.lists(directions(n), min_size=1, max_size=2)),
+    )
+
+
+def homogeneous_generators(p):
+    gens = [(Fraction(1),) + v for v in p.vertices] + [(0,) + r for r in p.rays]
+    for l in p.lineality:
+        gens += [(0,) + l, (0,) + tuple(-c for c in l)]
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_polyhedra())
+def test_hrep_rows_are_primitive_facet_normals(p):
+    eqs, ineqs = p.hrep()
+    gens = homogeneous_generators(p)
+    d = p.ambient_dim + 1 - len(eqs)
+    assert matrix_rank(gens) == d
+    for row in eqs + ineqs:
+        assert all(type(c) is Fraction and c.denominator == 1 for c in row)
+        assert gcd_list(int(c) for c in row) == 1
+    for e in eqs:
+        assert all(vdot(e, g) == 0 for g in gens)
+    assert len(set(ineqs)) == len(ineqs)
+    for f in ineqs:
+        vals = [vdot(f, g) for g in gens]
+        assert all(v >= 0 for v in vals)
+        assert matrix_rank([g for g, v in zip(gens, vals) if v == 0]) == d - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_polyhedra())
+def test_from_hrep_gives_the_canonical_generators(p):
+    back = polyhedron_from_hrep(*p.hrep(), p.ambient_dim)
+    assert back is not None and back.dim == p.dim
+    assert polyhedra_equal(back, p)
+    assert back.hrep()[0] == p.hrep()[0] and set(back.hrep()[1]) == set(p.hrep()[1])
+    if back.lineality:
+        lin = [tuple(Fraction(c) for c in l) for l in back.lineality]
+        assert all(in_span(l, lin) for l in p.lineality)
+    else:
+        # A pointed polyhedron's vertices and extreme rays are among any
+        # generating set, and none of them is redundant.
+        assert set(back.vertices) <= set(p.vertices) and set(back.rays) <= set(p.rays)
+        for v in back.vertices:
+            rest = [w for w in back.vertices if w != v]
+            assert not rest or not Polyhedron(rest, back.rays).contains(v)
+    if p.is_cone():
+        assert back.vertices == p.vertices
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_polyhedra(), st.data())
+def test_containment_matches_fraction_evaluation(p, data):
+    eqs, ineqs = p.hrep()
+    n = p.ambient_dim
+
+    def holds(h):
+        return all(vdot(e, h) == 0 for e in eqs) and all(vdot(f, h) >= 0 for f in ineqs)
+
+    samples = data.draw(st.lists(points(n), min_size=1, max_size=5))
+    samples += list(p.vertices) + [tuple(Fraction(0) for _ in range(n))]
+    samples.append(tuple((a + b) / 2 for a, b in zip(p.vertices[0], p.vertices[-1])))
+    for x in samples:
+        fx = tuple(Fraction(c) for c in x)
+        assert p.contains(x) == holds((Fraction(1),) + fx)
+        assert p.contains(RationalPoint(x)) == p.contains(x)
+        assert p.contains_direction(x) == holds((Fraction(0),) + fx)
+    assert all(p.contains_direction(r) for r in p.rays)
