@@ -4,7 +4,7 @@ intersection-ring modules together.
 
 Exit codes: 0 when every asserted equality holds and every hypothesis flag is
 satisfied; 2 when the equalities hold but some hypothesis is unverified;
-1 for hard errors (bad input, failed equality)."""
+1 for hard errors (bad input, a usage error, a failed equality)."""
 
 from __future__ import annotations
 
@@ -51,12 +51,6 @@ def _load_json(arg: str, what: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {what}: {exc}") from exc
-
-
-def _polygon_from_json(data, path: str = "$") -> LatticePolytope:
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise ValueError(f"{path}: expected an object with a 'vertices' list")
-    return LatticePolytope([tuple(v) for v in data["vertices"]])
 
 
 class Report:
@@ -138,7 +132,7 @@ def cmd_tpn(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    q = _polygon_from_json(_load_json(args.polygon, "polygon JSON"))
+    q = jsonio.polygon_from_json(_load_json(args.polygon, "polygon JSON"))
     if not is_delzant(q):
         raise ValueError("the polygon is not Delzant")
     report = Report(f"surface polygon={list(q.vertices)}", args.seed)
@@ -153,8 +147,8 @@ def cmd_surface(args) -> int:
 
 
 def cmd_bertini(args) -> int:
-    q1 = _polygon_from_json(_load_json(args.polygon_d, "polygon JSON for D"))
-    q2 = _polygon_from_json(_load_json(args.polygon_dp, "polygon JSON for D'"))
+    q1 = jsonio.polygon_from_json(_load_json(args.polygon_d, "polygon JSON for D"))
+    q2 = jsonio.polygon_from_json(_load_json(args.polygon_dp, "polygon JSON for D'"))
     for q in (q1, q2):
         if not is_delzant(q):
             raise ValueError("both polygons must be Delzant")
@@ -286,7 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code this tool keeps for an
+        # unverified hypothesis; a usage error is a hard error. --help still
+        # exits 0.
+        if exc.code in (0, None):
+            raise
+        return 1
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -82,11 +82,20 @@ class BalancingReport:
 
 def _normal_vector(complex_: PolyhedralComplex, tau_idx: int, sigma_idx: int):
     """Integer vector in sigma's lattice whose class generates
-    (lattice of sigma)/(lattice of tau), pointing from tau into sigma."""
-    tau = complex_.cells[tau_idx]
-    sigma = complex_.cells[sigma_idx]
-    ref = vsub(sigma.relative_interior_point(), tau.relative_interior_point())
-    return quotient_generator(tau.directions(), sigma.lattice_basis(), ref, complex_.ambient_dim)
+    (lattice of sigma)/(lattice of tau), pointing from tau into sigma.
+
+    It depends on the geometry only, not on weights, so it is computed once
+    per complex and (tau, sigma) pair and shared by every cycle on it."""
+    key = (tau_idx, sigma_idx)
+    v = complex_._normals.get(key)
+    if v is None:
+        tau = complex_.cells[tau_idx]
+        sigma = complex_.cells[sigma_idx]
+        ref = vsub(sigma.relative_interior_point(), tau.relative_interior_point())
+        v = quotient_generator(tau.directions(), sigma.lattice_basis(), ref,
+                               complex_.ambient_dim)
+        complex_._normals[key] = v
+    return v
 
 
 def check_balancing(a: TropicalCycle) -> BalancingReport:
@@ -145,10 +154,6 @@ class CartierFunction:
                             f"affine pieces of cells {s1},{s2} disagree on face {tau_idx}"
                         )
 
-    def value(self, cell_idx: int, point):
-        lin, const = self.pieces[cell_idx]
-        return vdot(lin, point) + const
-
     def linear_on_face(self, tau_idx: int, adjacent_sigma: int):
         """Linear part valid on the face tau (restriction of any adjacent
         piece; they agree on tau's directions)."""
@@ -197,16 +202,6 @@ class DivisorPowerTower:
         if k >= len(self.layers):
             return set()
         return self.layers[k].support_cells()
-
-    def local_index(self, x) -> int:
-        """#{k : x in |D^k|}."""
-        if not self.layers[0].support_contains(x):
-            raise ValueError("point outside the ambient cycle")
-        count = 0
-        for layer in self.layers:
-            if layer.support_contains(x):
-                count += 1
-        return count
 
 
 def power_tower(f, x_cycle: TropicalCycle, kmax: int | None = None) -> DivisorPowerTower:

@@ -1,6 +1,7 @@
 """JSON serialization for every exchange format the command line speaks:
 polyhedral complexes, weighted cycles, piecewise-linear functions, matroids,
-tropical polynomials, curve graphs, fans, divisor classes, and reports.
+lattice polygons, tropical polynomials, curve graphs, fans, divisor classes,
+and reports.
 
 Rationals travel as "p/q" strings (integers without the "/q"); minus
 infinity travels as the string "-inf". Schema violations raise ValueError
@@ -15,7 +16,7 @@ from .curves import TropicalCurveGraph
 from .cycles import CartierFunction, TropicalCycle
 from .hypersurface import TropicalPolynomial
 from .matroids import Matroid
-from .polyhedra import NEG_INF, PolyhedralComplex, Polyhedron
+from .polyhedra import NEG_INF, LatticePolytope, PolyhedralComplex, Polyhedron
 
 
 def frac_to_str(x) -> str:
@@ -174,6 +175,20 @@ def matroid_from_json(data: dict, path: str = "$") -> Matroid:
             "expected a nonempty list")
     bases = [_int_vec(b, f"{path}.bases[{i}]") for i, b in enumerate(raw)]
     return Matroid(n, bases)
+
+
+def polygon_from_json(data: dict, path: str = "$") -> LatticePolytope:
+    """A lattice polygon from {"vertices": [[x, y], ...]}."""
+    _expect(isinstance(data, dict), path, "expected an object with a 'vertices' list")
+    raw = data.get("vertices")
+    _expect(isinstance(raw, list) and raw, f"{path}.vertices",
+            "expected a list of integer points")
+    points = []
+    for i, v in enumerate(raw):
+        p = _int_vec(v, f"{path}.vertices[{i}]")
+        _expect(len(p) == 2, f"{path}.vertices[{i}]", "expected [int, int]")
+        points.append(p)
+    return LatticePolytope(points)
 
 
 def polynomial_to_json(f: TropicalPolynomial) -> dict:

@@ -171,20 +171,32 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
     return basis
 
 
+def _kernel_rows(m: list[list[int]], pivots: list[int], ncols: int) -> list[IntVec]:
+    """Kernel basis from the rows and pivots of ``_eliminate(rows)``: one
+    primitive integer vector per free column, in column order, positive in
+    its free column. Each is the matching ``nullspace`` vector times a
+    positive integer."""
+    scale = lcm(*(row[pc] for row, pc in zip(m, pivots)))
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [0] * ncols
+        v[free] = scale
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[free] * (scale // row[pc])
+        g = gcd(*v)
+        out.append(tuple(x // g for x in v))
+    return out
+
+
 def kernel_line(rows: Sequence[Sequence], ncols: int) -> IntVec | None:
     """Primitive integer generator of {x in Q^ncols : A x = 0} when that
     kernel is a line (A has rank ncols - 1), else None."""
     m, pivots = _eliminate(rows)
     if len(pivots) != ncols - 1:
         return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    scale = lcm(*(row[pc] for row, pc in zip(m, pivots)))
-    v = [0] * ncols
-    v[free] = scale
-    for row, pc in zip(m, pivots):
-        v[pc] = -row[free] * (scale // row[pc])
-    g = gcd(*v)
-    return tuple(x // g for x in v)
+    return _kernel_rows(m, pivots, ncols)[0]
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -311,14 +323,15 @@ def quotient_generator(
     lattice. reference: any vector in sigma's span not in tau's span.
     """
     tau_vecs = [v for v in tau_span if not is_zero_vec(v)]
-    # Functional vanishing on tau, nonzero on sigma.
+    # Integer functional vanishing on tau, nonzero on sigma. It is a positive
+    # multiple of the matching ``nullspace`` row, and the gcd combination
+    # below does not change when every value is scaled by the same positive
+    # factor, so the result is the one the rational functional gives.
     if tau_vecs:
-        candidates = nullspace(tau_vecs)
+        candidates = _kernel_rows(*_eliminate(tau_vecs), ambient_dim)
     else:
-        candidates = [
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        ]
+        candidates = [tuple(int(i == j) for j in range(ambient_dim))
+                      for i in range(ambient_dim)]
     ell = None
     for cand in candidates:
         if any(vdot(cand, b) != 0 for b in sigma_lattice):
@@ -326,10 +339,9 @@ def quotient_generator(
             break
     if ell is None:
         raise ValueError("sigma does not properly contain tau")
-    # Image ell(sigma lattice) is a subgroup gZ of Q; find a lattice vector
+    # Image ell(sigma lattice) is a subgroup gZ of Z; find a lattice vector
     # hitting +/- g by the extended euclidean recombination.
-    int_values, _ = _scale_to_int([vdot(ell, b) for b in sigma_lattice])
-    coeffs = _extended_gcd_combo(int_values)
+    coeffs = _extended_gcd_combo([vdot(ell, b) for b in sigma_lattice])
     w = tuple(
         sum(c * b[i] for c, b in zip(coeffs, sigma_lattice)) for i in range(ambient_dim)
     )

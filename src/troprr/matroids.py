@@ -271,11 +271,28 @@ def bergman_complex(m: Matroid):
     return PolyhedralComplex(n - 1, cells, relation), chains
 
 
+_last_complex: dict = {}
+
+
+def _shared_bergman_complex(m: Matroid):
+    """bergman_complex(m), kept for the last matroid asked for: the Bergman
+    fan and every CSM cycle of one matroid then share one complex, and with
+    it the complex's lattice-normal memo. The complex is never changed
+    after construction, so sharing it is safe. One slot only, so that a
+    caller who keeps many matroids alive does not keep their complexes."""
+    key = m._key()
+    hit = _last_complex.get(key)
+    if hit is None:
+        _last_complex.clear()
+        hit = _last_complex[key] = bergman_complex(m)
+    return hit
+
+
 def bergman_fan(m: Matroid) -> TropicalCycle:
     """The Bergman fan as a weight-1 cycle of dimension rank-1."""
     if m.loops():
         raise ValueError("Bergman fan requires a loopless matroid")
-    complex_, chains = bergman_complex(m)
+    complex_, chains = _shared_bergman_complex(m)
     r = m.rank_value
     weights = {i: 1 for i, c in enumerate(chains) if len(c) == r - 1}
     cycle = TropicalCycle(complex_, r - 1, weights)
@@ -312,7 +329,7 @@ def csm_cycle(m: Matroid, k: int) -> TropicalCycle:
     r = m.rank_value
     if not 0 <= k <= r - 1:
         raise ValueError("k must lie between 0 and rank-1")
-    complex_, chains = bergman_complex(m)
+    complex_, chains = _shared_bergman_complex(m)
     sign = (-1) ** (r - 1 - k)
     weights = {}
     for i, c in enumerate(chains):

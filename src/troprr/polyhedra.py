@@ -145,10 +145,11 @@ class Polyhedron:
         return self.vertices == (zero,)
 
     def relative_interior_point(self) -> Vec:
+        """Mean of the vertices plus the sum of the rays."""
         n = len(self.vertices)
-        p = tuple(sum(v[i] for v in self.vertices) / n for i in range(self.ambient_dim))
-        for r in self.rays:
-            p = vadd(p, r)
+        p = self.vertices[0] if n == 1 else tuple(sum(c) / n for c in zip(*self.vertices))
+        if self.rays:
+            p = vadd(p, [sum(c) for c in zip(*self.rays)])
         return p
 
     # -- H-representation ----------------------------------------------------
@@ -391,6 +392,10 @@ class PolyhedralComplex:
 
     face_relation: set of (face_index, cofacet_index) pairs where the face has
     dimension exactly one less than the cofacet (transitive reduction).
+
+    The cells and the relation are never changed after construction, so one
+    complex may be shared by several cycles. The facet/cofacet index and the
+    lattice-normal memo of ``cycles`` depend on the geometry alone.
     """
 
     def __init__(self, ambient_dim: int, cells, face_relation):
@@ -399,16 +404,32 @@ class PolyhedralComplex:
         self.face_relation = frozenset(tuple(p) for p in face_relation)
         self._faces_of = None
         self._cofaces_of = None
+        self._normals: dict[tuple[int, int], IntVec] = {}
+
+    def _index(self):
+        """Facet and cofacet lists of every cell, built in one pass over the
+        relation in its iteration order, so each list has the order of a
+        scan of the relation."""
+        faces: dict[int, list[int]] = {}
+        cofaces: dict[int, list[int]] = {}
+        for a, b in self.face_relation:
+            faces.setdefault(b, []).append(a)
+            cofaces.setdefault(a, []).append(b)
+        self._faces_of, self._cofaces_of = faces, cofaces
 
     def maximal_cells(self) -> list[int]:
         non_max = {i for i, _ in self.face_relation}
         return [i for i in range(len(self.cells)) if i not in non_max]
 
     def facets_of(self, i: int) -> list[int]:
-        return [a for a, b in self.face_relation if b == i]
+        if self._faces_of is None:
+            self._index()
+        return list(self._faces_of.get(i, ()))
 
     def cofacets_of(self, i: int) -> list[int]:
-        return [b for a, b in self.face_relation if a == i]
+        if self._cofaces_of is None:
+            self._index()
+        return list(self._cofaces_of.get(i, ()))
 
     def faces_closure(self, cell_indices) -> set[int]:
         """All (iterated) faces of the given cells, including themselves."""
@@ -667,7 +688,6 @@ class LatticePolytope:
     def faces(self) -> list[tuple[int, tuple[IntVec, ...]]]:
         """All proper and improper nonempty faces as (dim, vertex tuple),
         including the polytope itself; excludes the empty face."""
-        eqs, ineqs = self._poly.hrep()
         found = {}
 
         def rec(vert_subset):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .linalg import det, frac, primitive, vdot
+from .linalg import det, frac, primitive, vadd, vdot
 from .polyhedra import LatticePolytope
 
 
@@ -115,12 +115,12 @@ class ToricSurface:
             prev = rs[(i - 1) % m]
             nxt = rs[(i + 1) % m]
             # u_{i-1} + u_{i+1} = a_i u_i.
-            s = vdot(vadd2(prev, nxt), rs[i])
+            s = vdot(vadd(prev, nxt), rs[i])
             norm = vdot(rs[i], rs[i])
             a = Fraction(s, norm)
             # Verify exactly (the sum must be proportional to u_i).
             if tuple(a * c for c in rs[i]) != tuple(
-                Fraction(x) for x in vadd2(prev, nxt)
+                Fraction(x) for x in vadd(prev, nxt)
             ) or a.denominator != 1:
                 raise ValueError("wall relation fails; fan is not smooth/complete")
             # u_{i-1} + u_{i+1} + (D_i^2) u_i = 0, so D_i^2 = -a_i.
@@ -187,10 +187,6 @@ class ToricSurface:
             a = -min(vals)
             out.append(int(a))
         return tuple(out)
-
-
-def vadd2(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _cyclic_angular_sort(vectors):

@@ -82,3 +82,27 @@ def test_reports_are_byte_stable(tmp_path, capsys):
     assert main(["--seed", "5", "--json-out", str(p2), "surface", SQUARE]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    assert main(["tpn"]) == 1
+    assert main(["nosuchcommand"]) == 1
+    assert main(["tpn", "two", "2"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("polygon,message", [
+    ('{"vertices": 5}', "$.vertices: expected a list of integer points"),
+    ('{"vertices": []}', "$.vertices: expected a list of integer points"),
+    ('{"vertices": [[0, 0], [1, "x"]]}', "$.vertices[1][1]: expected an integer"),
+    ('{"vertices": [[0, 0, 0]]}', "$.vertices[0]: expected [int, int]"),
+    ('{"points": []}', "$.vertices: expected a list of integer points"),
+])
+def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
+    assert main(["surface", polygon]) == 1
+    assert main(["bertini", SQUARE, polygon]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: {message}") == 2

@@ -1,0 +1,56 @@
+"""Golden CLI reports: the stdout and the --json-out bytes of the fast README
+commands are pinned, so that a refactor of the engine cannot change a report.
+
+Regenerate the files under tests/golden/ with
+``PYTHONPATH=src python tests/test_cli_golden.py`` (only when a report is
+meant to change)."""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from troprr.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+U24 = '{"n": 4, "bases": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
+
+# name -> argv after "--json-out PATH"; "@file" names an input under golden/.
+CASES = {
+    "csm_u24": ["csm", U24],
+    "csm_k4": ["csm", "@k4_matroid.json"],
+    "tpn_2_2": ["tpn", "2", "2"],
+    "hypersurface_p3_d1": ["hypersurface", "@p3_d1_polynomial.json"],
+}
+
+
+def _argv(name, json_out):
+    args = [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in CASES[name]]
+    return ["--json-out", str(json_out)] + args
+
+
+def _run(name, json_out):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(_argv(name, json_out))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_report_matches_golden(name, tmp_path):
+    json_out = tmp_path / "out.json"
+    code, stdout = _run(name, json_out)
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.stdout").read_text()
+    assert json_out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        out = GOLDEN / f"{case}.json"
+        code, stdout = _run(case, out)
+        if code != 0:
+            sys.exit(f"{case}: exit code {code}")
+        (GOLDEN / f"{case}.stdout").write_text(stdout)

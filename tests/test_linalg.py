@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from troprr.linalg import (
+    _extended_gcd_combo,
+    _scale_to_int,
     det,
     in_span,
     integer_kernel,
@@ -223,3 +225,46 @@ def test_kernel_line_is_the_primitive_kernel_generator(rows, ncols):
     assert v is not None and any(v)
     assert all(vdot(row, v) == 0 for row in rows)
     assert primitive(v) == v
+
+
+def oracle_quotient_generator(tau_span, sigma_lattice, reference, ambient_dim):
+    """quotient_generator with its functional taken as a Fraction
+    ``nullspace`` row, as it was before the integer kernel rows."""
+    tau_vecs = [v for v in tau_span if any(v)]
+    if tau_vecs:
+        candidates = nullspace(tau_vecs)
+    else:
+        candidates = [tuple(Fraction(int(i == j)) for j in range(ambient_dim))
+                      for i in range(ambient_dim)]
+    ell = next((c for c in candidates if any(vdot(c, b) for b in sigma_lattice)), None)
+    if ell is None:
+        raise ValueError("sigma does not properly contain tau")
+    int_values, _ = _scale_to_int([vdot(ell, b) for b in sigma_lattice])
+    coeffs = _extended_gcd_combo(int_values)
+    w = tuple(sum(c * b[i] for c, b in zip(coeffs, sigma_lattice)) for i in range(ambient_dim))
+    if (vdot(ell, w) > 0) != (vdot(ell, reference) > 0):
+        w = tuple(-x for x in w)
+    return w
+
+
+@st.composite
+def cone_pairs(draw):
+    """(tau generators, sigma generators, reference): sigma is tau plus one
+    more integer generator outside tau's span."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    tau = draw(st.lists(vec, max_size=n - 1))
+    extra = draw(vec.filter(lambda v: any(v) and not in_span(v, tau)))
+    return tau, tau + [extra], extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_pairs(), st.sampled_from([1, -1]))
+def test_quotient_generator_matches_fraction_functional(pair, side):
+    tau, sigma, extra = pair
+    n = len(extra)
+    lattice = lattice_basis_of_span(sigma, n)
+    ref = tuple(side * x for x in extra)
+    got = quotient_generator(tau, lattice, ref, n)
+    assert got == oracle_quotient_generator(tau, lattice, ref, n)
+    assert in_span(got, sigma) and not in_span(got, tau)

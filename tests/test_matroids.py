@@ -2,7 +2,9 @@ from math import comb
 
 import pytest
 
-from troprr.cycles import check_balancing, degree, power_tower
+from test_linalg import oracle_quotient_generator
+from troprr import matroids
+from troprr.cycles import _normal_vector, check_balancing, degree, power_tower
 from troprr.hypersurface import TropicalPolynomial, tropical_hypersurface
 from troprr.matroids import (
     Matroid,
@@ -139,3 +141,68 @@ def test_support_identity_small_rank(r):
             assert any(c.contains_polyhedron(cone) for c in weighted)
         for c in weighted:
             assert cone_in_union(c, cones)
+
+
+SHARED_CASES = [uniform_matroid(3, 5), uniform_matroid(4, 6), graphic_matroid(K4_EDGES)]
+SHARED_IDS = ["U35", "U46", "K4"]
+
+
+@pytest.mark.parametrize("m", SHARED_CASES, ids=SHARED_IDS)
+def test_memoized_normals_match_fraction_quotient_generator(m):
+    c, _ = bergman_complex(m)
+    for tau_idx, sigma_idx in c.face_relation:
+        tau, sigma = c.cells[tau_idx], c.cells[sigma_idx]
+        ref = tuple(a - b for a, b in zip(sigma.relative_interior_point(),
+                                          tau.relative_interior_point()))
+        expected = oracle_quotient_generator(tau.directions(), sigma.lattice_basis(),
+                                             ref, c.ambient_dim)
+        assert _normal_vector(c, tau_idx, sigma_idx) == expected
+        assert _normal_vector(c, tau_idx, sigma_idx) is _normal_vector(c, tau_idx, sigma_idx)
+
+
+def test_fan_and_csm_cycles_share_one_complex(monkeypatch):
+    built = []
+    real = matroids.bergman_complex
+
+    def counting(m):
+        built.append(m._key())
+        return real(m)
+
+    monkeypatch.setattr(matroids, "bergman_complex", counting)
+    monkeypatch.setattr(matroids, "_last_complex", {})
+    for m in SHARED_CASES:
+        # An equal matroid built anew hits the memo too: it is keyed by the
+        # bases, not by the object.
+        twin = Matroid(m.n, m.bases, check=False)
+        cycles = [bergman_fan(m)] + [csm_cycle(x, k) for x in (m, twin)
+                                     for k in range(m.rank_value)]
+        assert all(cy.complex is cycles[0].complex for cy in cycles)
+        assert all(cy.chains is cycles[0].chains for cy in cycles)
+    assert built == [m._key() for m in SHARED_CASES]
+
+
+# Parent-computed (weight, number of cells) per k, and whether it balances.
+CSM_SUMMARY = {
+    "U35": {0: ([(3, 1)], True), 1: ([(-2, 5)], True), 2: ([(1, 20)], True)},
+    "U46": {0: ([(-4, 1)], True), 1: ([(3, 6)], True), 2: ([(-2, 30)], True),
+            3: ([(1, 120)], True)},
+    "K4": {0: ([(2, 1)], True), 1: ([(-1, 10)], True), 2: ([(1, 18)], True)},
+}
+
+
+@pytest.mark.parametrize("m,name", list(zip(SHARED_CASES, SHARED_IDS)), ids=SHARED_IDS)
+def test_csm_weights_and_balancing_on_shared_and_fresh_complexes(m, name, monkeypatch):
+    shared = {k: csm_cycle(m, k) for k in range(m.rank_value)}
+    summary = {}
+    for k, cy in shared.items():
+        counts = {}
+        for w in cy.weights.values():
+            counts[w] = counts.get(w, 0) + 1
+        summary[k] = (sorted(counts.items()), check_balancing(cy).ok)
+    assert summary == CSM_SUMMARY[name]
+    for k, cy in shared.items():
+        monkeypatch.setattr(matroids, "_last_complex", {})
+        fresh = csm_cycle(m, k)
+        assert fresh.complex is not cy.complex
+        assert fresh.weights == cy.weights
+        assert check_balancing(fresh) == check_balancing(cy)

@@ -4,7 +4,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from troprr.hypersurface import smooth_simplex_polynomial, tropical_hypersurface
 from troprr.linalg import gcd_list, in_span, matrix_rank, vdot
+from troprr.matroids import bergman_complex, graphic_matroid, uniform_matroid
 from troprr.polyhedra import (
     NEG_INF,
     LatticePolytope,
@@ -319,3 +321,24 @@ def test_containment_matches_fraction_evaluation(p, data):
         assert p.contains(RationalPoint(x)) == p.contains(x)
         assert p.contains_direction(x) == holds((Fraction(0),) + fx)
     assert all(p.contains_direction(r) for r in p.rays)
+
+
+_K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+FACE_INDEX_CASES = {
+    "U35": lambda: bergman_complex(uniform_matroid(3, 5))[0],
+    "U46": lambda: bergman_complex(uniform_matroid(4, 6))[0],
+    "K4": lambda: bergman_complex(graphic_matroid(_K4))[0],
+    "hypersurface": lambda: tropical_hypersurface(smooth_simplex_polynomial(2, 3)).complex,
+    "line": tropical_line_complex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_INDEX_CASES))
+def test_face_index_equals_relation_scan(name):
+    c = FACE_INDEX_CASES[name]()
+    for i in range(len(c.cells) + 1):
+        assert c.facets_of(i) == [a for a, b in c.face_relation if b == i]
+        assert c.cofacets_of(i) == [b for a, b in c.face_relation if a == i]
+    # The returned lists are copies: changing one leaves the index intact.
+    c.facets_of(0).append(-1)
+    assert -1 not in c.facets_of(0)
