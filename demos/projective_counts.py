@@ -9,7 +9,7 @@ with the dual statement for chi with compact supports.
 
 from math import comb
 
-from troprr.eulercalc import chi_c_complement, chi_complement_paths
+from troprr.eulercalc import chi_c_from_strata, chi_paths_from_strata, toric_strata
 from troprr.hypersurface import smooth_simplex_polynomial
 from troprr.toric import ProjectiveSpace
 
@@ -21,10 +21,11 @@ def main():
         space = ProjectiveSpace(n)
         for d in degrees:
             f = smooth_simplex_polynomial(n, d)
-            path_a, path_b = chi_complement_paths(f)
+            strata = toric_strata(f)
+            path_a, path_b = chi_paths_from_strata(strata, n)
             rr = space.rr_number(d)
             count = comb(n + d, n)
-            chi_c = chi_c_complement(f)
+            chi_c = chi_c_from_strata(strata)
             dual = space.rr_number(-d)
             print(f"n={n} d={d}:  rr={rr}  lattice={count}  "
                   f"chi paths=({path_a},{path_b})  |  "

@@ -21,8 +21,9 @@ from .curves import (
     rr_number_curve,
 )
 from .cycles import check_balancing
-from .eulercalc import chi_c_complement, chi_complement_paths
+from .eulercalc import chi_c_from_strata, chi_paths_from_strata, toric_strata
 from .hypersurface import (
+    is_smooth,
     newton_polytope,
     smooth_simplex_polynomial,
     tropical_hypersurface,
@@ -114,13 +115,14 @@ def cmd_tpn(args) -> int:
     f = smooth_simplex_polynomial(n, d)
     rr = ProjectiveSpace(n).rr_number(d)
     count = comb(n + d, n)
-    a, b = chi_complement_paths(f)
+    strata = toric_strata(f)
+    a, b = chi_paths_from_strata(strata, n)
     report.check("rr_equals_lattice_count", rr, count)
     report.check("chi_path_sum_of_layers", a, count)
     report.check("chi_path_weighted_differences", b, count)
     report.check("dual_rr_equals_chi_c",
-                 ProjectiveSpace(n).rr_number(-d), chi_c_complement(f))
-    report.flag("smooth", "true" if f is not None else "false")
+                 ProjectiveSpace(n).rr_number(-d), chi_c_from_strata(strata))
+    report.flag("smooth", "true" if is_smooth(f) else "false")
     uni = sample_uniformity(f) if n == 2 else []
     for r in uni:
         if r.status != "true":
@@ -216,7 +218,8 @@ def cmd_hypersurface(args) -> int:
 def cmd_euler(args) -> int:
     f = jsonio.polynomial_from_json(_load_json(args.polynomial, "polynomial JSON"))
     report = Report(f"euler n={f.n} terms={len(f.terms)}", args.seed)
-    a, b = chi_complement_paths(f)
+    strata = toric_strata(f)
+    a, b = chi_paths_from_strata(strata, f.n)
     report.check("power_tower_paths", a, b)
     count = len(LatticePolytope(
         [tuple(int(c) for c in v) for v in newton_polytope(f).vertices]
@@ -224,7 +227,7 @@ def cmd_euler(args) -> int:
     rep = jsonio.instance_report(a, b, count,
                                  [f["name"] for f in report.flags])
     print(report.render())
-    print(f"  chi_c_complement: {chi_c_complement(f)}")
+    print(f"  chi_c_complement: {chi_c_from_strata(strata)}")
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(jsonio.dumps(rep))

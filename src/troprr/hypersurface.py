@@ -145,15 +145,48 @@ def regular_subdivision(f: TropicalPolynomial) -> RegularSubdivision:
     return sub
 
 
+# `tpn 3 d` meets 9 distinct term sets (the faces of the 3-simplex, up to
+# lattice coordinates); 16 keeps every polynomial of such a command.
+SUBDIVISION_MEMO_SIZE = 16
+_subdivisions: dict[tuple, RegularSubdivision] = {}
+
+
+def _subdivision_of(f: TropicalPolynomial) -> RegularSubdivision:
+    """``regular_subdivision(f)`` memoized on f's term set, so that equal
+    polynomials built as separate objects (the face truncations of
+    ``face_polynomial``, a polynomial read twice from JSON) share one
+    subdivision. Holds the SUBDIVISION_MEMO_SIZE most recent term sets; the
+    oldest is dropped first."""
+    key = (f.n, tuple(sorted(f.terms.items())))
+    sub = _subdivisions.get(key)
+    if sub is None:
+        sub = regular_subdivision(f)
+        if len(_subdivisions) >= SUBDIVISION_MEMO_SIZE:
+            del _subdivisions[next(iter(_subdivisions))]
+        _subdivisions[key] = sub
+    return sub
+
+
 def is_smooth(f: TropicalPolynomial) -> bool:
-    return regular_subdivision(f).is_smooth()
+    return _subdivision_of(f).is_smooth()
 
 
 def _dual_complex(sub: RegularSubdivision, min_face_dim: int):
-    """Complex of cells dual to the subdivision faces of dim >= min_face_dim:
-    vertices are dual vertices of the incident maximal cells, rays the
-    primitive outer normals of the Newton-polytope facets through the face.
-    Returns (complex, {face members -> cell index}, face list)."""
+    """Complex of cells dual to the subdivision faces of dim >= min_face_dim,
+    built once per subdivision and min_face_dim (complexes are never changed
+    after construction, so the cycles built on it share it). Returns
+    (complex, {face members -> cell index}, face list)."""
+    if not hasattr(sub, "_dual_complexes"):
+        sub._dual_complexes = {}
+    if min_face_dim not in sub._dual_complexes:
+        sub._dual_complexes[min_face_dim] = _build_dual_complex(sub, min_face_dim)
+    return sub._dual_complexes[min_face_dim]
+
+
+def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int):
+    """Vertices of each dual cell are the dual vertices of the incident
+    maximal cells, its rays the primitive outer normals of the Newton-polytope
+    facets through the face."""
     f = sub.polynomial
     n = f.n
     faces = [(members, d) for members, d in sub.faces() if d >= min_face_dim]
@@ -192,7 +225,7 @@ def tropical_hypersurface(f: TropicalPolynomial) -> TropicalCycle:
     subdivision: cells dual to subdivision faces of dimension >= 1, rays from
     outer normals of Newton-polytope facets, codimension-1 weights equal to
     the lattice lengths of the dual subdivision edges."""
-    sub = regular_subdivision(f)
+    sub = _subdivision_of(f)
     n = f.n
     complex_, index, faces = _dual_complex(sub, 1)
     weights = {}
@@ -211,7 +244,7 @@ def ambient_cycle(f: TropicalPolynomial) -> TropicalCycle:
     """All of R^n as a weight-1 cycle on the full dual complex of f's regular
     subdivision (regions of linearity down to the dual points), so that f is
     affine on every cell; the base of divisor power towers."""
-    sub = regular_subdivision(f)
+    sub = _subdivision_of(f)
     n = f.n
     complex_, index, faces = _dual_complex(sub, 0)
     weights = {index[members]: 1 for members, d in faces if d == 0}
@@ -224,7 +257,7 @@ def ambient_cycle(f: TropicalPolynomial) -> TropicalCycle:
 def complement_components(f: TropicalPolynomial):
     """Connected components of R^n minus the hypersurface, for smooth f: one
     bounded-or-unbounded region per lattice point of the Newton polytope."""
-    sub = regular_subdivision(f)
+    sub = _subdivision_of(f)
     if not sub.is_smooth():
         raise ValueError("complement components are catalogued for smooth f only")
     eqs, ineqs = sub.polytope.polyhedron().hrep()
@@ -431,7 +464,7 @@ def random_smooth_polynomial(points, seed: int = 0, max_retries: int = 50) -> Tr
             for x, y in pts
         ]
         f = polynomial_from_heights(n, pts, heights)
-        sub = regular_subdivision(f)
+        sub = _subdivision_of(f)
         used = set().union(*(set(e) for e, _ in sub.maximal_cells))
         if sub.is_smooth() and len(used) == len(pts):
             return f

@@ -284,20 +284,15 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVec]:
     return kernel_cols
 
 
-def scale_rows_to_int(rows: Sequence[Sequence]) -> list[IntVec]:
-    return [tuple(_scale_to_int(row)[0]) for row in rows]
-
-
 def lattice_basis_of_span(vectors: Sequence[Sequence], ambient_dim: int) -> list[IntVec]:
     """Integer basis of the saturated lattice span(vectors) ∩ Z^n."""
     vecs = [v for v in vectors if not is_zero_vec(v)]
     if not vecs:
         return []
-    normals = nullspace(vecs)
+    normals = _kernel_rows(*_eliminate(vecs), ambient_dim)
     if not normals:
         return [tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)]
-    int_normals = scale_rows_to_int(normals)
-    return list(integer_kernel(int_normals, ambient_dim))
+    return list(integer_kernel(normals, ambient_dim))
 
 
 def in_span(v: Sequence, vectors: Sequence[Sequence]) -> bool:

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, report JSON, and reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from troprr import cli, eulercalc
 from troprr.cli import main
+from troprr.hypersurface import polynomial_from_heights
+from troprr.polyhedra import standard_simplex
 
 LINE = ('{"n": 2, "terms": [{"exp": [0,0], "coeff": "0"},'
         ' {"exp": [1,0], "coeff": "0"}, {"exp": [0,1], "coeff": "0"}]}')
@@ -106,3 +110,48 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
     assert main(["bertini", SQUARE, polygon]) == 1
     err = capsys.readouterr().err
     assert err.count(f"error: {message}") == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+POLYNOMIAL_COMMANDS = [
+    pytest.param(["tpn", "2", "2"], id="tpn-2-2"),
+    pytest.param(["tpn", "3", "1"], id="tpn-3-1"),
+    pytest.param(["euler", str(GOLDEN / "p3_d1_polynomial.json")], id="euler-p3-d1"),
+    pytest.param(["euler", str(GOLDEN / "plane_d3_polynomial.json")], id="euler-plane-d3"),
+    pytest.param(["hypersurface", str(GOLDEN / "plane_d3_polynomial.json")],
+                 id="hypersurface-plane-d3"),
+]
+
+
+@pytest.mark.parametrize("argv", POLYNOMIAL_COMMANDS[:4])
+def test_tpn_and_euler_build_the_strata_once(argv, monkeypatch, capsys):
+    calls = []
+    original = eulercalc.toric_strata
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    # Both the CLI's own name and the one eulercalc's wrappers look up.
+    monkeypatch.setattr(eulercalc, "toric_strata", counting)
+    monkeypatch.setattr(cli, "toric_strata", counting, raising=False)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", POLYNOMIAL_COMMANDS)
+def test_one_subdivision_per_distinct_polynomial_in_a_command(argv, subdivision_calls, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert subdivision_calls and len(subdivision_calls) == len(set(subdivision_calls))
+
+
+def test_tpn_smooth_flag_is_computed(monkeypatch, capsys):
+    # All-zero heights on 2*Delta_2: one non-unimodular cell, not smooth.
+    pts = standard_simplex(2, 2).lattice_points()
+    monkeypatch.setattr(cli, "smooth_simplex_polynomial",
+                        lambda n, d: polynomial_from_heights(n, pts, [0] * len(pts)))
+    main(["tpn", "2", "2"])
+    out = capsys.readouterr().out
+    assert "[false] hypothesis: smooth" in out

@@ -23,6 +23,9 @@ CASES = {
     "csm_k4": ["csm", "@k4_matroid.json"],
     "tpn_2_2": ["tpn", "2", "2"],
     "hypersurface_p3_d1": ["hypersurface", "@p3_d1_polynomial.json"],
+    "tpn_3_1": ["tpn", "3", "1"],
+    "euler_p3_d1": ["euler", "@p3_d1_polynomial.json"],
+    "euler_plane_d3": ["euler", "@plane_d3_polynomial.json"],
 }
 
 

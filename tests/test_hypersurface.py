@@ -2,9 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from troprr import hypersurface
 from troprr.cycles import check_balancing, degree, divisor_intersect, power_tower
 from troprr.hypersurface import (
+    SUBDIVISION_MEMO_SIZE,
     TropicalPolynomial,
+    _build_dual_complex,
+    _dual_complex,
+    ambient_cycle,
     cartier_from_polynomial,
     complement_components,
     is_smooth,
@@ -163,3 +168,78 @@ def test_smooth_simplex_polynomial_in_three_variables():
     x = tropical_hypersurface(f)
     assert x.dim == 2
     assert check_balancing(x).ok
+
+
+# -- one subdivision per polynomial, one dual complex per subdivision -----------
+
+
+def test_equal_polynomials_share_one_subdivision(subdivision_calls):
+    f = smooth_simplex_polynomial(2, 2)
+    # The same term set built as a separate object, in another term order.
+    g = TropicalPolynomial(2, list(reversed(list(f.terms.items()))))
+    x = tropical_hypersurface(f)
+    base = ambient_cycle(g)
+    assert is_smooth(g)
+    assert len(complement_components(f)) == 6
+    assert len(subdivision_calls) == 1
+    assert x.subdivision is base.subdivision
+    shifted = TropicalPolynomial(2, {e: c + (e == (0, 0)) for e, c in f.terms.items()})
+    tropical_hypersurface(shifted)
+    assert len(subdivision_calls) == 2
+
+
+def test_a_drawn_polynomial_keeps_its_subdivision(subdivision_calls):
+    f = random_smooth_polynomial(standard_simplex(2, 2).lattice_points(), seed=3)
+    drawn = len(subdivision_calls)
+    tropical_hypersurface(f)
+    ambient_cycle(f)
+    assert drawn >= 1 and len(subdivision_calls) == drawn
+
+
+def test_subdivision_memo_keeps_the_newest_entries(subdivision_calls):
+    polys = [TropicalPolynomial(2, {(0, 0): 0, (1, 0): k, (0, 1): 0})
+             for k in range(SUBDIVISION_MEMO_SIZE + 4)]
+    for f in polys:
+        assert is_smooth(f)
+        assert len(hypersurface._subdivisions) <= SUBDIVISION_MEMO_SIZE
+    assert SUBDIVISION_MEMO_SIZE == 16
+    assert len(subdivision_calls) == len(polys)
+    is_smooth(polys[-1])
+    is_smooth(polys[-SUBDIVISION_MEMO_SIZE])
+    assert len(subdivision_calls) == len(polys)
+    is_smooth(polys[0])  # evicted: built again
+    assert len(subdivision_calls) == len(polys) + 1
+    assert len(hypersurface._subdivisions) == SUBDIVISION_MEMO_SIZE
+
+
+def _cell_key(cell):
+    return cell.vertices, cell.rays, cell.lineality
+
+
+@pytest.mark.parametrize("f", [
+    line_poly(),
+    smooth_simplex_polynomial(2, 3),
+    smooth_simplex_polynomial(3, 2),
+    random_smooth_polynomial(standard_simplex(2, 2).lattice_points(), seed=3),
+    TropicalPolynomial(2, {(0, 0): 0, (2, 0): 0, (0, 2): 0, (1, 1): -5}),
+], ids=["line", "cubic", "space-quadric", "random-conic", "not-smooth"])
+def test_cached_dual_complex_equals_a_fresh_build(f):
+    sub = regular_subdivision(f)
+    for min_face_dim in (0, 1):
+        cached = _dual_complex(sub, min_face_dim)
+        assert _dual_complex(sub, min_face_dim) is cached
+        complex_, index, faces = cached
+        fresh, fresh_index, fresh_faces = _build_dual_complex(
+            regular_subdivision(f), min_face_dim)
+        assert [_cell_key(c) for c in complex_.cells] == [_cell_key(c) for c in fresh.cells]
+        assert complex_.face_relation == fresh.face_relation
+        assert index == fresh_index and faces == fresh_faces
+
+
+def test_cycles_of_one_polynomial_share_the_dual_complex(subdivision_calls):
+    f = smooth_simplex_polynomial(2, 2)
+    x, y = tropical_hypersurface(f), tropical_hypersurface(f)
+    assert x is not y and x.complex is y.complex
+    assert x.dual_face_index is y.dual_face_index and x.weights == y.weights
+    assert ambient_cycle(f).complex is not x.complex
+    assert ambient_cycle(f).complex is ambient_cycle(f).complex

@@ -268,3 +268,23 @@ def test_quotient_generator_matches_fraction_functional(pair, side):
     got = quotient_generator(tau, lattice, ref, n)
     assert got == oracle_quotient_generator(tau, lattice, ref, n)
     assert in_span(got, sigma) and not in_span(got, tau)
+
+
+def oracle_lattice_basis_of_span(vectors, ambient_dim):
+    """lattice_basis_of_span with the span's normals taken as Fraction
+    ``nullspace`` rows scaled to integers, as it was before the integer
+    kernel rows."""
+    vecs = [v for v in vectors if any(v)]
+    if not vecs:
+        return []
+    normals = nullspace(vecs)
+    if not normals:
+        return [tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)]
+    return list(integer_kernel([tuple(_scale_to_int(r)[0]) for r in normals], ambient_dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_lattice_basis_of_span_matches_fraction_nullspace_normals(rows):
+    n = len(rows[0])
+    assert lattice_basis_of_span(rows, n) == oracle_lattice_basis_of_span(rows, n)
