@@ -37,7 +37,6 @@ from .instances import (
     verify_polygon,
 )
 from .matroids import beta, beta_by_rank_sum, bergman_fan, csm_cycle
-from .polyhedra import LatticePolytope
 from .toric import ProjectiveSpace, is_delzant
 
 
@@ -221,9 +220,7 @@ def cmd_euler(args) -> int:
     strata = toric_strata(f)
     a, b = chi_paths_from_strata(strata, f.n)
     report.check("power_tower_paths", a, b)
-    count = len(LatticePolytope(
-        [tuple(int(c) for c in v) for v in newton_polytope(f).vertices]
-    ).lattice_points())
+    count = len(newton_polytope(f).lattice_points())
     rep = jsonio.instance_report(a, b, count,
                                  [f["name"] for f in report.flags])
     print(report.render())

@@ -249,12 +249,10 @@ def face_polynomial_on_same_face(g: TropicalPolynomial, f: TropicalPolynomial,
     return TropicalPolynomial(k, terms)
 
 
-def chi_curve_complement_on_surface(f_curve: TropicalPolynomial,
-                                    f_other: TropicalPolynomial) -> int:
+def chi_curve_complement_on_surface(f_curve: TropicalPolynomial, points) -> int:
     """chi(D \\ (D' cap D)) for the compactified curve D of f_curve on a toric
-    surface and a second curve D': chi of the compact curve plus the number
+    surface and a second curve D' meeting it in ``points`` (the list of
+    ``curve_intersection_points``): chi of the compact curve plus the number
     of (necessarily interior) intersection points."""
     strata = toric_strata(f_curve)
-    chi_curve = chi_layer(strata, 1)
-    pts = curve_intersection_points(f_curve, f_other)
-    return chi_curve + len(pts)
+    return chi_layer(strata, 1) + len(points)

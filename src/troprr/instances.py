@@ -135,7 +135,7 @@ def curve_pair(q1: LatticePolytope, q2: LatticePolytope, seed: int,
 def verify_curve_pair(pair: CurvePair) -> tuple[int, int]:
     """Both sides of chi(X \\ D') - chi(D \\ (D' cap D)) =
     deg((D' - D).(D' - D - K))/2 + 1."""
-    lhs = chi_complement(pair.g) - chi_curve_complement_on_surface(pair.f, pair.g)
+    lhs = chi_complement(pair.g) - chi_curve_complement_on_surface(pair.f, pair.points)
     e = tuple(a - b for a, b in zip(pair.dp_class, pair.d_class))
     rhs = pair.surface.rr_number(e)
     return lhs, rhs

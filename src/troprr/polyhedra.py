@@ -5,7 +5,10 @@ sedentarity, and lattice-point enumeration.
 All polyhedra are stored as vertices + rays + lineality generators over exact
 rationals; half-space representations are derived on demand, in primitive
 integer rows, and cached. Containment tests evaluate those integer rows on a
-positive integer multiple of the homogenized point or direction.
+positive integer multiple of the homogenized point or direction. H->V
+conversion is an integer double description (``_extreme_rays``) of the
+homogenized cone; a pointed polyhedron is canonicalized without it, by the
+rank of the rows tight at each of its generators.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from .linalg import (
     IntVec,
     Vec,
+    _scale_to_int,
     det,
     frac,
     gcd_list,
@@ -89,6 +93,18 @@ def _as_vec(p) -> Vec:
             raise ValueError("operation requires a finite point")
         return tuple(p.coords)
     return tuple(frac(c) for c in p)
+
+
+def _homogenized(lead: int, p) -> IntVec:
+    """A positive integer multiple of (lead, p): integer input as it is,
+    rational input times the lcm of its denominators."""
+    if not isinstance(p, RationalPoint) and all(type(c) is int for c in p):
+        return (lead,) + tuple(p)
+    return tuple(_scale_to_int((lead,) + _as_vec(p))[0])
+
+
+def _unit_vectors(k: int) -> list[Vec]:
+    return [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
 
 
 class Polyhedron:
@@ -178,12 +194,11 @@ class Polyhedron:
         return all(vdot(e, h) == 0 for e in eqs) and all(vdot(f, h) >= 0 for f in ineqs)
 
     def contains(self, point) -> bool:
-        return self._satisfies(primitive((1,) + _as_vec(point)))
+        return self._satisfies(_homogenized(1, point))
 
     def contains_direction(self, d) -> bool:
         """Whether the direction d lies in the recession cone."""
-        hd = (0,) + tuple(frac(c) for c in d)
-        return is_zero_vec(hd) or self._satisfies(primitive(hd))
+        return self._satisfies(_homogenized(0, d))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         return all(self.contains(v) for v in other.vertices) and all(
@@ -196,7 +211,18 @@ class Polyhedron:
     # -- canonical form ------------------------------------------------------
 
     def canonicalize(self) -> "Polyhedron":
-        """Irredundant V-representation recomputed from the H-representation."""
+        """Irredundant V-representation recomputed from the H-representation.
+
+        When the H-rep rows have rank n + 1 the polyhedron is pointed, so its
+        vertices and extreme rays are the given generators whose tight rows
+        have rank n."""
+        eqs, ineqs = self._integer_hrep()
+        rows, n = eqs + ineqs, self.ambient_dim
+        if matrix_rank(rows) == n + 1:
+            def extreme(h):
+                return matrix_rank([a for a in rows if vdot(a, h) == 0]) == n
+            return Polyhedron([v for v in self.vertices if extreme(_homogenized(1, v))],
+                              [r for r in self.rays if extreme((0,) + r)])
         eqs, ineqs = self.hrep()
         poly = polyhedron_from_hrep(eqs, ineqs, self.ambient_dim)
         if poly is None:
@@ -262,6 +288,49 @@ def _hrep_from_vrep(poly: Polyhedron):
     return eqs, ineqs
 
 
+def _extreme_rays(rows, dim: int) -> list[IntVec]:
+    """Primitive extreme rays of the pointed cone {x : a . x >= 0 for every
+    integer row a}; the rows must have rank dim.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start
+    from the simplicial cone of the first dim independent rows, whose rays
+    are kernel lines of dim - 1 of them, and cut by the other rows one at a
+    time. A ray on the positive and one on the negative side of a new row
+    span a new ray only when they are adjacent: no third ray vanishes on
+    every row processed so far that vanishes on both.
+    """
+    basis: list[IntVec] = []
+    rest: list[IntVec] = []
+    for a in rows:
+        if len(basis) < dim and matrix_rank(basis + [a]) > len(basis):
+            basis.append(a)
+        else:
+            rest.append(a)
+    rays, zeros = [], []
+    for i, a in enumerate(basis):
+        r = kernel_line(basis[:i] + basis[i + 1:], dim)
+        rays.append(r if vdot(a, r) > 0 else tuple(-x for x in r))
+        zeros.append(((1 << dim) - 1) ^ (1 << i))
+    for bit, a in enumerate(rest, start=dim):
+        vals = [vdot(a, r) for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_zeros = [z | (1 << bit) if v == 0 else z for z, v in zip(zeros, vals) if v >= 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for m, vm in enumerate(vals):
+                if vm >= 0:
+                    continue
+                common = zeros[p] & zeros[m]
+                if common.bit_count() < dim - 2 or any(
+                        common & ~z == 0 for k, z in enumerate(zeros) if k != p and k != m):
+                    continue
+                new_rays.append(primitive(vadd(vscale(vp, rays[m]), vscale(-vm, rays[p]))))
+                new_zeros.append(common | (1 << bit))
+        rays, zeros = new_rays, new_zeros
+    return rays
+
+
 def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedron | None:
     """Vertex/ray/lineality enumeration for a homogeneous-coordinate H-rep.
 
@@ -280,10 +349,7 @@ def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedr
         null = nullspace(a_rows)
     else:
         p0 = tuple(Fraction(0) for _ in range(n))
-        null = [
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        ]
+        null = _unit_vectors(n)
     k = len(null)
     if k == 0:
         hx = (Fraction(1),) + tuple(p0)
@@ -300,21 +366,14 @@ def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedr
         t_ineqs.append((coeffs, rhs))
     # Lineality in t-space.
     normals = [c for c, _ in t_ineqs if not is_zero_vec(c)]
-    lin_t = nullspace(normals) if normals else [
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(k)) for i in range(k)
-    ]
+    lin_t = nullspace(normals) if normals else _unit_vectors(k)
     # Feasibility of zero-coefficient inequalities.
     for c, rhs in t_ineqs:
         if is_zero_vec(c) and rhs > 0:
             return None
     t_ineqs = [(c, rhs) for c, rhs in t_ineqs if not is_zero_vec(c)]
     # Reduce modulo lineality: complement coordinates.
-    if lin_t:
-        comp = [v for v in nullspace(lin_t)]
-    else:
-        comp = [
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(k)) for i in range(k)
-        ]
+    comp = nullspace(lin_t) if lin_t else _unit_vectors(k)
     q = len(comp)
     # Write t = C^T s + lineality component where rows of C span the complement;
     # since inequalities vanish on lineality, they only constrain s via
@@ -323,39 +382,18 @@ def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedr
     for c, rhs in t_ineqs:
         red = tuple(vdot(c, cv) for cv in comp)
         red_ineqs.append((red, rhs))
+    # Extreme rays of the homogenized cone {(lam, s) : c.s >= rhs lam, lam >= 0},
+    # which is pointed because the reduced rows have rank q.
+    rows = [primitive((-rhs,) + c) for c, rhs in red_ineqs] + [(1,) + (0,) * q]
     verts_s = set()
     rays_s = set()
-    if q == 0:
-        verts_s.add(tuple())
-    else:
-        for subset in itertools.combinations(range(len(red_ineqs)), q):
-            rows = [red_ineqs[i][0] for i in subset]
-            if matrix_rank(rows) != q:
-                continue
-            rhs = [red_ineqs[i][1] for i in subset]
-            s = solve_linear(rows, rhs)
-            if s is None:
-                continue
-            if all(vdot(c, s) >= r for c, r in red_ineqs):
-                verts_s.add(tuple(s))
-        if not red_ineqs:
-            verts_s.add(tuple(Fraction(0) for _ in range(q)))
-        for subset in itertools.combinations(range(len(red_ineqs)), q - 1):
-            rows = [red_ineqs[i][0] for i in subset]
-            if rows and matrix_rank(rows) != q - 1:
-                continue
-            dirs = nullspace(rows) if rows else [
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(q))
-                for i in range(q)
-            ]
-            if len(dirs) != 1:
-                continue
-            dvec = dirs[0]
-            for dd in (dvec, tuple(-a for a in dvec)):
-                if all(vdot(c, dd) >= 0 for c, _ in red_ineqs):
-                    rays_s.add(primitive(dd))
-        if not verts_s:
-            return None
+    for r in _extreme_rays(rows, q + 1):
+        if r[0] > 0:
+            verts_s.add(tuple(Fraction(c, r[0]) for c in r[1:]))
+        else:
+            rays_s.add(r[1:])
+    if not verts_s:
+        return None
     # Map back: t = C^T s, the substitution the reduced inequalities assume.
     def s_to_t(s):
         return tuple(sum(si * cv[j] for si, cv in zip(s, comp)) for j in range(k))
@@ -641,7 +679,7 @@ def _intersect_subspaces(a, b, n):
     nb = nullspace(b)
     rows = list(na) + list(nb)
     if not rows:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)]
+        return _unit_vectors(n)
     return nullspace(rows)
 
 

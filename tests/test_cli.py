@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from troprr import cli, eulercalc
+from troprr import cli, eulercalc, instances
 from troprr.cli import main
 from troprr.hypersurface import polynomial_from_heights
 from troprr.polyhedra import standard_simplex
@@ -49,6 +49,24 @@ def test_bertini_passes(capsys):
                  '{"vertices": [[0,0],[2,0],[0,2]]}'])
     assert code == 0
     assert "chi_difference_equals_rr: 3 == 3" in capsys.readouterr().out
+
+
+def test_bertini_computes_each_intersection_once(monkeypatch, capsys):
+    calls = []
+    original = eulercalc.curve_intersection_points
+
+    def counting(f, g):
+        calls.append((tuple(sorted(f.terms.items())), tuple(sorted(g.terms.items()))))
+        return original(f, g)
+
+    # The name curve_pair draws with and the one eulercalc looks up itself.
+    monkeypatch.setattr(eulercalc, "curve_intersection_points", counting)
+    monkeypatch.setattr(instances, "curve_intersection_points", counting)
+    assert main(["--seed", "3", "bertini",
+                 '{"vertices": [[0,0],[1,0],[0,1]]}',
+                 '{"vertices": [[0,0],[2,0],[0,2]]}']) == 0
+    capsys.readouterr()
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_curve_passes(capsys):

@@ -70,7 +70,7 @@ def test_curve_pair_identity():
 def test_curve_complement_counts_points():
     pair = curve_pair(TRIANGLE, CONIC_TRIANGLE, seed=3)
     # chi of the compactified line is 1; two transverse punctures add 2.
-    assert chi_curve_complement_on_surface(pair.f, pair.g) == 3
+    assert chi_curve_complement_on_surface(pair.f, pair.points) == 3
     assert len(curve_intersection_points(pair.f, pair.g)) == 2
 
 

@@ -1,11 +1,24 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from troprr.hypersurface import smooth_simplex_polynomial, tropical_hypersurface
-from troprr.linalg import gcd_list, in_span, matrix_rank, vdot
+from troprr import polyhedra
+from troprr.linalg import (
+    gcd_list,
+    in_span,
+    is_zero_vec,
+    kernel_line,
+    matrix_rank,
+    nullspace,
+    primitive,
+    solve_linear,
+    vadd,
+    vdot,
+)
 from troprr.matroids import bergman_complex, graphic_matroid, uniform_matroid
 from troprr.polyhedra import (
     NEG_INF,
@@ -342,3 +355,217 @@ def test_face_index_equals_relation_scan(name):
     # The returned lists are copies: changing one leaves the index intact.
     c.facets_of(0).append(-1)
     assert -1 not in c.facets_of(0)
+
+
+# -- H->V by double description, against the subset enumeration it replaced ---
+
+
+def enumerating_from_hrep(equalities, inequalities, n):
+    """Reference H->V conversion: the same reduction modulo the equalities and
+    the lineality, then every q-subset of the reduced inequalities is solved
+    for a vertex and every (q-1)-subset for a ray."""
+    eqs = [tuple(Fraction(c) for c in e) for e in equalities]
+    ineqs = [tuple(Fraction(c) for c in f) for f in inequalities]
+
+    def identity(k):
+        return [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
+
+    if eqs:
+        p0 = solve_linear([e[1:] for e in eqs], [-e[0] for e in eqs])
+        if p0 is None:
+            return None
+        null = nullspace([e[1:] for e in eqs])
+    else:
+        p0, null = tuple(Fraction(0) for _ in range(n)), identity(n)
+    k = len(null)
+    if k == 0:
+        ok = all(vdot(f, (Fraction(1),) + tuple(p0)) >= 0 for f in ineqs)
+        return Polyhedron([p0]) if ok else None
+    t_ineqs = [(tuple(vdot(f[1:], nv) for nv in null), -(f[0] + vdot(f[1:], p0)))
+               for f in ineqs]
+    normals = [c for c, _ in t_ineqs if not is_zero_vec(c)]
+    lin_t = nullspace(normals) if normals else identity(k)
+    if any(is_zero_vec(c) and rhs > 0 for c, rhs in t_ineqs):
+        return None
+    comp = nullspace(lin_t) if lin_t else identity(k)
+    q = len(comp)
+    red = [(tuple(vdot(c, cv) for cv in comp), rhs) for c, rhs in t_ineqs
+           if not is_zero_vec(c)]
+    verts_s, rays_s = set(), set()
+    if q == 0:
+        verts_s.add(())
+    else:
+        for subset in itertools.combinations(red, q):
+            rows = [c for c, _ in subset]
+            if matrix_rank(rows) == q:
+                s = solve_linear(rows, [r for _, r in subset])
+                if all(vdot(c, s) >= r for c, r in red):
+                    verts_s.add(s)
+        for subset in itertools.combinations(red, q - 1):
+            rows = [c for c, _ in subset]
+            dirs = nullspace(rows) if rows else identity(q)
+            if len(dirs) == 1:
+                for dd in (dirs[0], tuple(-a for a in dirs[0])):
+                    if all(vdot(c, dd) >= 0 for c, _ in red):
+                        rays_s.add(primitive(dd))
+        if not verts_s:
+            return None
+
+    def t_to_x(t):
+        return tuple(sum(t[i] * null[i][j] for i in range(k)) for j in range(n))
+
+    def s_to_x(s):
+        return t_to_x([sum(si * cv[j] for si, cv in zip(s, comp)) for j in range(k)])
+
+    return Polyhedron(
+        [vadd(s_to_x(s), p0) for s in verts_s],
+        [primitive(x) for x in map(s_to_x, rays_s) if not is_zero_vec(x)],
+        [primitive(x) for x in map(t_to_x, lin_t) if not is_zero_vec(x)],
+    )
+
+
+def generators(p):
+    return None if p is None else (p.vertices, p.rays, p.lineality)
+
+
+def rows_of(n):
+    return st.lists(coords, min_size=n + 1, max_size=n + 1).map(tuple)
+
+
+@st.composite
+def random_hreps(draw):
+    """(equalities, inequalities, n): random rows, or the H-rep of a random
+    polyhedron with a few random rows, repeated rows and negated rows added."""
+    if draw(st.booleans()):
+        p = draw(random_polyhedra())
+        n = p.ambient_dim
+        eqs, ineqs = (list(rows) for rows in p.hrep())
+    else:
+        n = draw(st.integers(1, 3))
+        eqs, ineqs = [], []
+    eqs += draw(st.lists(rows_of(n), max_size=1 if eqs else 2))
+    ineqs += draw(st.lists(rows_of(n), max_size=5))
+    if ineqs and draw(st.booleans()):
+        ineqs.append(tuple(-c for c in draw(st.sampled_from(ineqs))))
+    if ineqs and draw(st.booleans()):
+        ineqs.append(draw(st.sampled_from(ineqs)))
+    return eqs, ineqs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_hreps())
+# a single point
+@example(([(1, -1, 0), (2, 0, -1)], [(0, 1, 0)], 2))
+# q = 0: the whole plane, and an affine plane in R^3
+@example(([], [], 2))
+@example(([(1, 1, -1, 0)], [(3, 0, 0, 0)], 3))
+# empty, by the equalities and by the inequalities
+@example(([(1, 1, 0), (0, 1, 0)], [], 2))
+@example(([], [(-1, 1, 0), (-1, -1, 0)], 2))
+@example(([], [(-1, 0, 0)], 2))
+# unbounded: a quadrant, a slab with lineality, a half-plane with rational rows
+@example(([], [(0, 1, 0), (0, 0, 1)], 2))
+@example(([], [(1, 1, 1, 0), (1, -1, -1, 0)], 3))
+@example(([], [(Fraction(1, 2), 1, Fraction(-1, 3))], 2))
+def test_double_description_matches_subset_enumeration(hrep):
+    eqs, ineqs, n = hrep
+    assert generators(polyhedron_from_hrep(eqs, ineqs, n)) == generators(
+        enumerating_from_hrep(eqs, ineqs, n))
+
+
+@st.composite
+def redundant_generators(draw):
+    """Generators with repeated and interior vertices, redundant and
+    opposite rays, and sometimes lineality."""
+    n = draw(st.integers(1, 3))
+    vs = draw(st.lists(points(n), min_size=1, max_size=4))
+    vs.append(tuple((Fraction(a) + b) / 2 for a, b in zip(vs[0], vs[-1])))
+    rays = draw(st.lists(directions(n), max_size=3))
+    if rays:
+        rays.append(tuple(a + b for a, b in zip(rays[0], rays[-1])))
+        if draw(st.booleans()):
+            rays.append(tuple(-c for c in rays[0]))
+        if any(rays[-1]):
+            vs.append(vadd(vs[0], rays[-1]))
+    lineality = draw(st.lists(directions(n), max_size=1))
+    return Polyhedron(vs, [r for r in rays if any(r)], lineality)
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_generators())
+@example(Polyhedron([(0, 0), (1, 0), (2, 0)]))
+@example(Polyhedron([(0, 0), (1, 1)], rays=[(1, 0), (-1, 0), (0, 1)]))
+@example(Polyhedron([(0, 0, 0), (1, 0, 0)], rays=[(0, 1, 0)], lineality=[(0, 0, 1)]))
+def test_canonicalize_fast_path_matches_the_general_path(p):
+    general = polyhedron_from_hrep(*p.hrep(), p.ambient_dim)
+    assert generators(p.canonicalize()) == generators(general)
+
+
+def test_canonicalize_of_a_pointed_polyhedron_needs_no_h_to_v(monkeypatch):
+    calls = []
+    original = polyhedra.polyhedron_from_hrep
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polyhedra, "polyhedron_from_hrep", counting)
+    square = Polyhedron([(0, 0), (1, 0), (0, 1), (1, 1), (Fraction(1, 2), 0)])
+    assert square.canonicalize().vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
+    wedge = Polyhedron([(0, 0)], rays=[(1, 0), (1, 1), (0, 1)])
+    assert wedge.canonicalize().rays == ((0, 1), (1, 0))
+    assert not calls
+    line = Polyhedron([(0, 0)], rays=[(1, 0), (-1, 0)])
+    assert line.canonicalize().lineality == ((1, 0),) and len(calls) == 1
+
+
+def enumerated_extreme_rays(rows, dim):
+    """Reference: each kernel line of dim - 1 rows, in the orientation that
+    meets every row, if either does."""
+    out = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        r = kernel_line(list(subset), dim)
+        if r is not None:
+            for cand in (r, tuple(-x for x in r)):
+                if all(vdot(a, cand) >= 0 for a in rows):
+                    out.add(cand)
+    return out
+
+
+def homogenized_facets(points):
+    return [tuple(int(c) for c in f) for f in Polyhedron(points).hrep()[1]]
+
+
+@pytest.mark.parametrize("rows,dim,count", [
+    # the cone over the 3-cube, with the redundant row lambda >= 0
+    (homogenized_facets(list(itertools.product((0, 1), repeat=3))) + [(1, 0, 0, 0)], 4, 8),
+    # the cone over the 3-simplex
+    (homogenized_facets([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), 4, 4),
+    # the non-simplicial cone over a square, each row twice
+    ([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)] * 2, 3, 4),
+    # the cone over a pentagon
+    (homogenized_facets([(0, 0), (2, 0), (3, 1), (1, 3), (0, 2)]), 3, 5),
+    # the nonnegative quadrant, the same cone cut down to a ray and to the origin
+    ([(0, 1), (1, 0)], 2, 2),
+    ([(0, 1), (1, 0), (0, -1)], 2, 1),
+    ([(0, 1), (1, 0), (-1, -1)], 2, 0),
+])
+def test_extreme_ray_counts(rows, dim, count):
+    rays = polyhedra._extreme_rays(rows, dim)
+    assert len(rays) == len(set(rays)) == count
+    assert set(rays) == enumerated_extreme_rays(rows, dim)
+    assert all(gcd_list(r) == 1 for r in rays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple),
+                         min_size=d, max_size=8))))
+def test_extreme_rays_match_enumeration(case):
+    dim, rows = case
+    rows = [r for r in rows if any(r)]
+    if matrix_rank(rows) < dim:
+        rows += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = polyhedra._extreme_rays(rows, dim)
+    assert len(rays) == len(set(rays))
+    assert set(rays) == enumerated_extreme_rays(rows, dim)
