@@ -20,8 +20,15 @@ from .hypersurface import (
     newton_polytope,
     tropical_hypersurface,
 )
-from .linalg import solve_linear, vsub
-from .polyhedra import PolyhedralComplex, Polyhedron
+from .linalg import (
+    is_zero_vec,
+    lattice_basis_of_span,
+    primitive,
+    solve_linear,
+    vdot,
+    vsub,
+)
+from .polyhedra import LatticePolytope, PolyhedralComplex, Polyhedron
 
 
 def chi_c_cells(complex_: PolyhedralComplex, cell_indices) -> int:
@@ -53,8 +60,6 @@ class FaceStratum:
 def face_polynomial(f: TropicalPolynomial, face_vertices) -> TropicalPolynomial:
     """Truncation of f to a face of its Newton polytope, written in lattice
     coordinates of the face's direction space (exact dual pairing)."""
-    from .linalg import lattice_basis_of_span
-
     face_poly = Polyhedron(list(face_vertices))
     members = [e for e in f.terms if face_poly.contains(e)]
     base = members[0]
@@ -177,7 +182,7 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
             # Boundary strata: the curve meets them in points; demand that D'
             # stays away from those points.
             ff = face_polynomial(f_curve, fverts)
-            gg = face_polynomial_on_same_face(f_other, f_curve, fverts)
+            gg = face_polynomial_on_same_face(f_other, p, fverts)
             if len(ff.terms) < 2 or len(gg.terms) < 2:
                 continue
             hf, hg = tropical_hypersurface(ff), tropical_hypersurface(gg)
@@ -188,7 +193,7 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
                                  "first; re-seed the instance")
             continue
         ff = face_polynomial(f_curve, fverts)
-        gg = face_polynomial_on_same_face(f_other, f_curve, fverts)
+        gg = face_polynomial_on_same_face(f_other, p, fverts)
         curve = tropical_hypersurface(ff)
         phi = cartier_from_polynomial(gg, curve)
         pts = divisor_intersect(phi)
@@ -200,24 +205,22 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
     return points
 
 
-def face_polynomial_on_same_face(g: TropicalPolynomial, f: TropicalPolynomial,
+def face_polynomial_on_same_face(g: TropicalPolynomial, p: LatticePolytope,
                                  fverts) -> TropicalPolynomial:
-    """Truncate g to the face of f's Newton polytope with the same direction
-    space, in the same lattice coordinates used for f's truncation. Requires
-    the two Newton polytopes to share their normal fan on this face."""
-    from .linalg import lattice_basis_of_span, vdot
-
-    face_poly = Polyhedron(list(fverts))
+    """Truncate g to the face of p (the Newton polytope of a polynomial f)
+    with the same direction space, in the same lattice coordinates used for
+    f's truncation. Requires the two Newton polytopes to share their normal
+    fan on this face."""
     base = fverts[0]
     dirs = [vsub(v, base) for v in fverts[1:]]
-    basis = lattice_basis_of_span(dirs, f.n) if dirs else []
+    n = p.ambient_dim
+    basis = lattice_basis_of_span(dirs, n) if dirs else []
     # The face of g's Newton polytope in the same normal directions: argmax of
     # <., u> for u in the relative interior of the normal cone. Use the face
     # of g whose maximizing directions contain those of f's face.
-    eqs, ineqs = newton_polytope(f).polyhedron().hrep()
+    eqs, ineqs = p.polyhedron().hrep()
     tight_normals = []
     for h in ineqs:
-        from .linalg import is_zero_vec, primitive
         if is_zero_vec(h[1:]):
             continue
         if all(
@@ -227,9 +230,9 @@ def face_polynomial_on_same_face(g: TropicalPolynomial, f: TropicalPolynomial,
             tight_normals.append(primitive(tuple(-c for c in h[1:])))
     # Direction in the relative interior of the normal cone of the face.
     if tight_normals:
-        u = tuple(sum(t[i] for t in tight_normals) for i in range(f.n))
+        u = tuple(sum(t[i] for t in tight_normals) for i in range(n))
     else:
-        u = tuple(0 for _ in range(f.n))
+        u = tuple(0 for _ in range(n))
     vals = {e: vdot(e, u) for e in g.terms}
     m = max(vals.values())
     members = [e for e, v in vals.items() if v == m]

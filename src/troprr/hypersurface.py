@@ -13,10 +13,7 @@ from .cycles import CartierFunction, TropicalCycle
 from .linalg import (
     frac,
     gcd_list,
-    is_zero_vec,
-    matrix_rank,
     primitive,
-    solve_linear,
     vadd,
     vdot,
     vscale,
@@ -74,11 +71,14 @@ class RegularSubdivision:
     (upper-hull convention matching the max-plus polynomial).
 
     maximal_cells: list of (exponent frozenset, dual vertex in R^n); the
-    exponent set is the full argmax set at the dual vertex."""
+    exponent set is the full argmax set at the dual vertex.
+    facets: list of (exponent frozenset, primitive outer normal), one per
+    facet of the Newton polytope; the set holds every exponent on the facet."""
 
     polynomial: TropicalPolynomial
     polytope: LatticePolytope
     maximal_cells: list
+    facets: list
 
     def faces(self):
         """All faces of all maximal cells as (member frozenset, dim), each
@@ -108,41 +108,33 @@ class RegularSubdivision:
 
 
 def regular_subdivision(f: TropicalPolynomial) -> RegularSubdivision:
-    """Maximal cells via dual-vertex enumeration: for every affinely
-    independent (n+1)-subset of exponents, solve the equal-value system and
-    keep the solutions where those terms attain the global maximum."""
+    """Read the subdivision off the H-representation of the lifted polytope
+    conv{(a, c_a)} + cone{-e_(n+1)}: an inequality b0 + <b, a> + bh h >= 0
+    with bh < 0 is an upper facet, whose tight exponents form a maximal cell
+    with dual vertex b / bh; one with bh == 0 and b != 0 is a Newton-polytope
+    facet with outer normal -b."""
     n = f.n
     p = newton_polytope(f)
     if p.dim != n:
         raise ValueError("Newton polytope must be full-dimensional")
     terms = sorted(f.terms.items())
-    cells: dict[frozenset, tuple] = {}
-    for subset in itertools.combinations(range(len(terms)), n + 1):
-        a0, c0 = terms[subset[0]]
-        rows = [vsub(terms[i][0], a0) for i in subset[1:]]
-        if matrix_rank(rows) != n:
-            continue
-        rhs = [c0 - terms[i][1] for i in subset[1:]]
-        x = solve_linear(rows, rhs)
-        if x is None:
-            continue
-        val = vdot(a0, x) + c0
-        vals = {e: vdot(e, x) + c for e, c in terms}
-        if any(v > val for v in vals.values()):
-            continue
-        argmax = frozenset(e for e, v in vals.items() if v == val)
-        if argmax in cells:
-            continue
-        if matrix_rank([vsub(e, a0) for e in argmax]) == n:
-            cells[argmax] = tuple(x)
-    maximal = sorted(cells.items(), key=lambda t: sorted(t[0]))
-    sub = RegularSubdivision(f, p, maximal)
+    lifted = Polyhedron([e + (c,) for e, c in terms], rays=[(0,) * n + (-1,)])
+    _eqs, ineqs = lifted.hrep()
+    cells, facets = [], []
+    for h in ineqs:
+        b, bh = h[1:-1], h[-1]
+        tight = frozenset(e for e, c in terms if h[0] + vdot(b, e) + bh * c == 0)
+        if bh < 0:
+            cells.append((tight, tuple(Fraction(bi, bh) for bi in b)))
+        elif any(b):
+            facets.append((tight, primitive(tuple(-bi for bi in b))))
+    maximal = sorted(cells, key=lambda t: sorted(t[0]))
     total = sum(
         polytope_normalized_volume(LatticePolytope(list(exps))) for exps, _ in maximal
     )
     if total != polytope_normalized_volume(p):
         raise ValueError("subdivision cells do not cover the Newton polytope")
-    return sub
+    return RegularSubdivision(f, p, maximal, facets)
 
 
 # `tpn 3 d` meets 9 distinct term sets (the faces of the 3-simplex, up to
@@ -187,25 +179,13 @@ def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int):
     """Vertices of each dual cell are the dual vertices of the incident
     maximal cells, its rays the primitive outer normals of the Newton-polytope
     facets through the face."""
-    f = sub.polynomial
-    n = f.n
+    n = sub.polynomial.n
     faces = [(members, d) for members, d in sub.faces() if d >= min_face_dim]
-    eqs, ineqs = sub.polytope.polyhedron().hrep()
-    facet_data = []
-    for h in ineqs:
-        if is_zero_vec(h[1:]):
-            continue
-        tight = frozenset(
-            e for e in f.terms
-            if vdot(h, (Fraction(1),) + tuple(Fraction(c) for c in e)) == 0
-        )
-        outer = primitive(tuple(-c for c in h[1:]))
-        facet_data.append((tight, outer))
     cells = []
     index: dict[frozenset, int] = {}
     for members, d in faces:
         dual_verts = [x for exps, x in sub.maximal_cells if members <= exps]
-        rays = [outer for tight, outer in facet_data if members <= tight]
+        rays = [outer for tight, outer in sub.facets if members <= tight]
         cell = Polyhedron(dual_verts, rays=rays).canonicalize()
         if cell.dim != n - d:
             raise ValueError("dual cell of unexpected dimension")
@@ -260,16 +240,10 @@ def complement_components(f: TropicalPolynomial):
     sub = _subdivision_of(f)
     if not sub.is_smooth():
         raise ValueError("complement components are catalogued for smooth f only")
-    eqs, ineqs = sub.polytope.polyhedron().hrep()
     out = []
     for a in sub.polytope.lattice_points():
         dual_verts = [x for exps, x in sub.maximal_cells if a in exps]
-        rays = []
-        for h in ineqs:
-            if is_zero_vec(h[1:]):
-                continue
-            if vdot(h, (Fraction(1),) + tuple(Fraction(c) for c in a)) == 0:
-                rays.append(primitive(tuple(-c for c in h[1:])))
+        rays = [outer for tight, outer in sub.facets if a in tight]
         region = Polyhedron(dual_verts, rays=rays).canonicalize()
         out.append({"label": a, "region": region, "contractible": True})
     return out

@@ -500,12 +500,9 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-def validate_complex(c: PolyhedralComplex, pairwise_limit: int | None = None) -> ValidationReport:
-    """Check the complex axioms; reports every violation found.
-
-    pairwise_limit caps the number of pairwise-intersection checks (the
-    expensive part) for large constructed complexes; None means check all.
-    """
+def validate_complex(c: PolyhedralComplex) -> ValidationReport:
+    """Check the complex axioms on every cell, face relation and pair of
+    cells; reports every violation found."""
     violations: list[str] = []
     for i, cell in enumerate(c.cells):
         for r in cell.rays:
@@ -533,10 +530,7 @@ def validate_complex(c: PolyhedralComplex, pairwise_limit: int | None = None) ->
             if not found:
                 violations.append(f"cell {i}: missing face {face!r}")
     # Pairwise intersections are common faces.
-    pairs = list(itertools.combinations(range(len(c.cells)), 2))
-    if pairwise_limit is not None:
-        pairs = pairs[:pairwise_limit]
-    for i, j in pairs:
+    for i, j in itertools.combinations(range(len(c.cells)), 2):
         inter = intersect_polyhedra(c.cells[i], c.cells[j])
         if inter is None:
             continue

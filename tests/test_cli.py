@@ -69,6 +69,33 @@ def test_bertini_computes_each_intersection_once(monkeypatch, capsys):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_curve_intersection_builds_the_curve_polytope_once(monkeypatch, capsys):
+    built = []
+    original_polytope = eulercalc.newton_polytope
+
+    def counting_polytope(f):
+        built.append(f)
+        return original_polytope(f)
+
+    per_call = []
+    original = eulercalc.curve_intersection_points
+
+    def counting(f, g):
+        start = len(built)
+        points = original(f, g)
+        per_call.append(sum(h is f for h in built[start:]))
+        return points
+
+    monkeypatch.setattr(eulercalc, "newton_polytope", counting_polytope)
+    monkeypatch.setattr(eulercalc, "curve_intersection_points", counting)
+    monkeypatch.setattr(instances, "curve_intersection_points", counting)
+    assert main(["--seed", "3", "bertini",
+                 '{"vertices": [[0,0],[1,0],[0,1]]}',
+                 '{"vertices": [[0,0],[2,0],[0,2]]}']) == 0
+    capsys.readouterr()
+    assert per_call and all(k == 1 for k in per_call)
+
+
 def test_curve_passes(capsys):
     assert main(["curve", THETA]) == 0
     assert "graph_riemann_roch: 2 == 2" in capsys.readouterr().out

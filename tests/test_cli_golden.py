@@ -26,6 +26,8 @@ CASES = {
     "tpn_3_1": ["tpn", "3", "1"],
     "euler_p3_d1": ["euler", "@p3_d1_polynomial.json"],
     "euler_plane_d3": ["euler", "@plane_d3_polynomial.json"],
+    # Tied heights: two unit squares among the maximal cells (not smooth).
+    "euler_plane_tied": ["euler", "@plane_tied_polynomial.json"],
 }
 
 

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from troprr import hypersurface
 from troprr.cycles import check_balancing, degree, divisor_intersect, power_tower
@@ -19,6 +21,7 @@ from troprr.hypersurface import (
     smooth_simplex_polynomial,
     tropical_hypersurface,
 )
+from troprr.linalg import is_zero_vec, matrix_rank, primitive, solve_linear, vdot, vsub
 from troprr.polyhedra import standard_simplex, validate_complex
 
 
@@ -243,3 +246,107 @@ def test_cycles_of_one_polynomial_share_the_dual_complex(subdivision_calls):
     assert x.dual_face_index is y.dual_face_index and x.weights == y.weights
     assert ambient_cycle(f).complex is not x.complex
     assert ambient_cycle(f).complex is ambient_cycle(f).complex
+
+
+# -- subdivisions read off the lifted polytope, against the enumeration ---------
+
+
+def enumerating_subdivision(f):
+    """Reference maximal cells: for every affinely independent (n+1)-subset of
+    exponents, solve the equal-value system and keep the solutions where those
+    terms attain the global maximum."""
+    n = f.n
+    terms = sorted(f.terms.items())
+    cells = {}
+    for subset in itertools.combinations(range(len(terms)), n + 1):
+        a0, c0 = terms[subset[0]]
+        rows = [vsub(terms[i][0], a0) for i in subset[1:]]
+        if matrix_rank(rows) != n:
+            continue
+        rhs = [c0 - terms[i][1] for i in subset[1:]]
+        x = solve_linear(rows, rhs)
+        if x is None:
+            continue
+        val = vdot(a0, x) + c0
+        vals = {e: vdot(e, x) + c for e, c in terms}
+        if any(v > val for v in vals.values()):
+            continue
+        argmax = frozenset(e for e, v in vals.items() if v == val)
+        if argmax in cells:
+            continue
+        if matrix_rank([vsub(e, a0) for e in argmax]) == n:
+            cells[argmax] = tuple(x)
+    return sorted(cells.items(), key=lambda t: sorted(t[0]))
+
+
+def enumerating_facets(f):
+    """Reference Newton facets: (exponents on the facet, primitive outer
+    normal) for every non-trivial inequality of the Newton polytope."""
+    _eqs, ineqs = newton_polytope(f).polyhedron().hrep()
+    out = set()
+    for h in ineqs:
+        if is_zero_vec(h[1:]):
+            continue
+        tight = frozenset(
+            e for e in f.terms
+            if vdot(h, (Fraction(1),) + tuple(Fraction(c) for c in e)) == 0
+        )
+        out.add((tight, primitive(tuple(-c for c in h[1:]))))
+    return out
+
+
+HEIGHTS = {
+    "integer": st.integers(-2, 2),
+    "rational": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "tied": st.just(0),
+}
+# Largest coordinate and number of exponents per n: small enough for the
+# enumeration, large enough for missing points and points below the hull.
+BOX = {1: (5, 6), 2: (3, 9), 3: (2, 9)}
+
+
+@st.composite
+def random_polynomials(draw):
+    """Random exponents in a small box (so lattice points go missing) with
+    integer, rational, all-equal or concave-plus-jitter heights."""
+    n = draw(st.integers(1, 3))
+    top, size = BOX[n]
+    exps = draw(st.lists(st.tuples(*[st.integers(0, top)] * n),
+                         min_size=n + 1, max_size=size, unique=True))
+    kind = draw(st.sampled_from(sorted(HEIGHTS) + ["concave"]))
+    if kind == "concave":
+        heights = [-vdot(e, e) + draw(st.integers(0, 1)) for e in exps]
+    else:
+        heights = [draw(HEIGHTS[kind]) for _ in exps]
+    return TropicalPolynomial(n, list(zip(exps, heights)))
+
+
+SQUARES = TropicalPolynomial(2, {(0, 0): 0, (1, 0): 0, (2, 0): -1, (0, 1): 0,
+                                 (1, 1): 0, (2, 1): -1, (0, 2): -3,
+                                 (1, 2): Fraction(-5, 2)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_polynomials())
+# a constant: the only lifted polytope with the row at infinity as a facet
+@example(TropicalPolynomial(0, {(): 3}))
+# tied heights: two unit squares among the cells; one cell with all of 2*Delta_2
+@example(SQUARES)
+@example(TropicalPolynomial(2, {p: 0 for p in standard_simplex(2, 2).lattice_points()}))
+# an interior point below the hull, and a rectangle cut into two squares
+@example(TropicalPolynomial(2, {(0, 0): 0, (2, 0): 0, (0, 2): 0, (1, 1): -5}))
+@example(TropicalPolynomial(3, {p: -(p[0] == 1) for p in itertools.product(
+    range(3), range(2), range(2))}))
+@example(smooth_simplex_polynomial(3, 2))
+def test_lifted_subdivision_matches_enumeration(f):
+    assume(newton_polytope(f).dim == f.n)
+    sub = regular_subdivision(f)
+    assert sub.maximal_cells == enumerating_subdivision(f)
+    assert len(set(sub.facets)) == len(sub.facets)
+    assert set(sub.facets) == enumerating_facets(f)
+
+
+def test_tied_heights_give_square_cells():
+    cells = [exps for exps, _x in regular_subdivision(SQUARES).maximal_cells]
+    assert sorted(len(exps) for exps in cells) == [3, 3, 3, 4, 4]
+    assert not is_smooth(SQUARES)
