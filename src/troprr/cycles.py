@@ -102,10 +102,10 @@ def check_balancing(a: TropicalCycle) -> BalancingReport:
     failures = []
     for tau_idx, sigmas in a.codim1_cells().items():
         tau = a.complex.cells[tau_idx]
-        total = tuple(Fraction(0) for _ in range(a.complex.ambient_dim))
+        total = (0,) * a.complex.ambient_dim
         for s in sigmas:
-            v = _normal_vector(a.complex, tau_idx, s)
-            total = vadd(total, vscale(a.weights[s], v))
+            v, w = _normal_vector(a.complex, tau_idx, s), a.weights[s]
+            total = tuple(t + w * x for t, x in zip(total, v))
         if not is_zero_vec(total) and not in_span(total, tau.directions()):
             failures.append(
                 f"balancing fails at cell {tau_idx}: weighted normal sum {total} "

@@ -29,6 +29,7 @@ class Matroid:
         for b in self.bases:
             if not b <= self.ground:
                 raise ValueError("basis outside the ground set")
+        self._basis_masks = None
         if check:
             self._check_exchange()
 
@@ -40,10 +41,16 @@ class Matroid:
                         raise ValueError("basis exchange axiom fails")
 
     def rank(self, subset=None) -> int:
+        """The largest intersection of the subset with a basis, counted on
+        bitmasks of the bases (built on the first call)."""
         if subset is None:
             return self.rank_value
-        s = frozenset(subset)
-        return max(len(b & s) for b in self.bases)
+        if self._basis_masks is None:
+            self._basis_masks = [sum(1 << e for e in b) for b in self.bases]
+        s = 0
+        for e in subset:
+            s |= 1 << e
+        return max((b & s).bit_count() for b in self._basis_masks)
 
     def is_independent(self, subset) -> bool:
         s = frozenset(subset)

@@ -8,7 +8,9 @@ integer rows, and cached. Containment tests evaluate those integer rows on a
 positive integer multiple of the homogenized point or direction. H->V
 conversion is an integer double description (``_extreme_rays``) of the
 homogenized cone; a pointed polyhedron is canonicalized without it, by the
-rank of the rows tight at each of its generators.
+rank of the rows tight at each of its generators. ``cone_in_union`` splits
+its pieces with the same double-description cut (``_cut``), on integer
+generators.
 """
 
 from __future__ import annotations
@@ -295,9 +297,7 @@ def _extreme_rays(rows, dim: int) -> list[IntVec]:
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start
     from the simplicial cone of the first dim independent rows, whose rays
     are kernel lines of dim - 1 of them, and cut by the other rows one at a
-    time. A ray on the positive and one on the negative side of a new row
-    span a new ray only when they are adjacent: no third ray vanishes on
-    every row processed so far that vanishes on both.
+    time (`_cut`).
     """
     basis: list[IntVec] = []
     rest: list[IntVec] = []
@@ -312,23 +312,33 @@ def _extreme_rays(rows, dim: int) -> list[IntVec]:
         rays.append(r if vdot(a, r) > 0 else tuple(-x for x in r))
         zeros.append(((1 << dim) - 1) ^ (1 << i))
     for bit, a in enumerate(rest, start=dim):
-        vals = [vdot(a, r) for r in rays]
-        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
-        new_zeros = [z | (1 << bit) if v == 0 else z for z, v in zip(zeros, vals) if v >= 0]
-        for p, vp in enumerate(vals):
-            if vp <= 0:
-                continue
-            for m, vm in enumerate(vals):
-                if vm >= 0:
-                    continue
-                common = zeros[p] & zeros[m]
-                if common.bit_count() < dim - 2 or any(
-                        common & ~z == 0 for k, z in enumerate(zeros) if k != p and k != m):
-                    continue
-                new_rays.append(primitive(vadd(vscale(vp, rays[m]), vscale(-vm, rays[p]))))
-                new_zeros.append(common | (1 << bit))
-        rays, zeros = new_rays, new_zeros
+        rays, zeros = _cut(rays, zeros, a, bit, dim)
     return rays
+
+
+def _cut(rays, zeros, a, bit: int, dim: int):
+    """One double-description step: the extreme rays, with their zero sets,
+    of a pointed cone of dimension dim (modulo a lineality every row vanishes
+    on) cut by a . x >= 0, where zeros[k] is the bitmask of the rows so far
+    that vanish on rays[k] and bit is a's index. A positive and a negative
+    ray span a new ray only when they are adjacent: no third ray vanishes on
+    every row that vanishes on both."""
+    vals = [vdot(a, r) for r in rays]
+    new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+    new_zeros = [z | (1 << bit) if v == 0 else z for z, v in zip(zeros, vals) if v >= 0]
+    for p, vp in enumerate(vals):
+        if vp <= 0:
+            continue
+        for m, vm in enumerate(vals):
+            if vm >= 0:
+                continue
+            common = zeros[p] & zeros[m]
+            if common.bit_count() < dim - 2 or any(
+                    common & ~z == 0 for k, z in enumerate(zeros) if k != p and k != m):
+                continue
+            new_rays.append(primitive(vadd(vscale(vp, rays[m]), vscale(-vm, rays[p]))))
+            new_zeros.append(common | (1 << bit))
+    return new_rays, new_zeros
 
 
 def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedron | None:
@@ -631,38 +641,71 @@ def lineality_space(fan: PolyhedralComplex) -> list[IntVec]:
 
 def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
     """Exact test whether the polyhedron p is covered by the union of the
-    given polyhedra, by recursive splitting along their facet hyperplanes."""
-    hyperplanes = []
-    seen = set()
-    for c in cones:
-        eqs, ineqs = c._integer_hrep()
-        for h in eqs + ineqs:
-            key = sign_normalize(h)
-            if key not in seen:
-                seen.add(key)
-                hyperplanes.append(key)
+    given polyhedra, by recursive splitting along their facet hyperplanes.
 
-    def rec(piece: Polyhedron, depth: int) -> bool:
-        if any(c.contains_polyhedron(piece) for c in cones):
-            return True
-        if depth > len(hyperplanes):
-            return False
-        gens = _homogeneous_generators(piece)
-        peqs, pineqs = piece.hrep()
+    A piece is integer generators of its homogenization cone, (1, v) per
+    vertex and (0, r) per ray times a positive integer, each with the bitmask
+    of the rows it is tight on (p's facets, then the cuts on its path), and
+    (0, l) per lineality vector. It is covered when some polyhedron's integer
+    H-rep holds on it. Otherwise the first hyperplane with the piece strictly
+    on both sides splits it (`_halfspace`); that hyperplane splits neither
+    half again, and both keep the piece's dimension. A piece no hyperplane
+    splits lies on one side of each, so it is covered iff one polyhedron
+    contains it.
+    """
+    rows = [c._integer_hrep() for c in cones]
+    hyperplanes = list(dict.fromkeys(
+        sign_normalize(h) for eqs, ineqs in rows for h in eqs + ineqs))
+
+    def covered(gens, lin) -> bool:
+        return any(all(vdot(e, g) == 0 for e in eqs for g in gens)
+                   and all(vdot(f, g) >= 0 for f in ineqs for g in gens)
+                   and all(vdot(a, l) == 0 for a in eqs + ineqs for l in lin)
+                   for eqs, ineqs in rows)
+
+    def split(gens, zeros, lin, dim, bit) -> bool:
         for h in hyperplanes:
             vals = [vdot(h, g) for g in gens]
-            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-                neg_h = tuple(-x for x in h)
-                for half in (h, neg_h):
-                    part = polyhedron_from_hrep(list(peqs), list(pineqs) + [half], piece.ambient_dim)
-                    if part is None or part.dim < piece.dim:
-                        continue
-                    if not rec(part, depth + 1):
+            if any(vdot(h, l) for l in lin) or max(vals) > 0 > min(vals):
+                for a in (h, tuple(-x for x in h)):
+                    half = _halfspace(gens, zeros, lin, dim, a, bit)
+                    if not covered(half[0], half[2]) and not split(*half, bit + 1):
                         return False
                 return True
         return False
 
-    return rec(p, 0)
+    if covered(_homogeneous_generators(p), []):
+        return True
+    # The adjacency test of `_cut` holds only for the extreme generators.
+    q = p.canonicalize()
+    facets = p._integer_hrep()[1]
+    gens = [primitive((1,) + v) for v in q.vertices] + [(0,) + r for r in q.rays]
+    zeros = [sum(1 << i for i, f in enumerate(facets) if vdot(f, g) == 0) for g in gens]
+    lin = [(0,) + l for l in q.lineality]
+    return split(gens, zeros, lin, p.dim + 1 - len(lin), len(facets))
+
+
+def _halfspace(gens, zeros, lin, dim: int, a, bit: int):
+    """The half a . x >= 0 of a cone_in_union piece (gens, zeros, lin, dim),
+    dim the dimension of its cone modulo the lineality and bit the index of
+    a in the bitmasks. If a vanishes on the lineality this is one
+    double-description cut. Otherwise a line l with a . l > 0 becomes a ray
+    (tight on every earlier row), and the generators and the other lines are
+    projected along l into a . x = 0."""
+    along = [vdot(a, l) for l in lin]
+    if not any(along):
+        return (*_cut(gens, zeros, a, bit, dim), lin, dim)
+    k = next(i for i, s in enumerate(along) if s)
+    ray = lin[k] if along[k] > 0 else tuple(-x for x in lin[k])
+    s = abs(along[k])
+
+    def project(g, ag):
+        return primitive(tuple(s * x - ag * y for x, y in zip(g, ray)))
+
+    return ([project(g, vdot(a, g)) for g in gens] + [ray],
+            [z | (1 << bit) for z in zeros] + [(1 << bit) - 1],
+            [project(l, t) for i, (l, t) in enumerate(zip(lin, along)) if i != k],
+            dim + 1)
 
 
 def _intersect_subspaces(a, b, n):

@@ -214,6 +214,7 @@ def test_criterion_6_curve_suite():
 
 
 def test_criterion_7_matroid_suite():
+    t0 = time.monotonic()
     catalogue = [uniform_matroid(r, n)
                  for n in range(2, 8) for r in range(1, n)]
     catalogue.append(graphic_matroid(K4_EDGES))
@@ -249,8 +250,10 @@ def test_criterion_7_matroid_suite():
                 assert any(c.contains_polyhedron(cone) for c in weighted)
             for c in weighted:
                 assert cone_in_union(c, cones)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60, f"criterion-7 suite took {elapsed:.1f}s"
     print(f"\n[PASS] criterion 7: matroid suite ({len(catalogue)} matroids,"
-          " beta values, support identity up to rank 5)")
+          f" beta values, support identity up to rank 5, {elapsed:.1f}s)")
 
 
 def test_criterion_8_cross_oracle():

@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -18,6 +20,7 @@ from troprr.matroids import (
     graphic_matroid,
     uniform_matroid,
 )
+from troprr.linalg import matrix_rank
 from troprr.polyhedra import cone_in_union, validate_complex
 
 
@@ -206,3 +209,32 @@ def test_csm_weights_and_balancing_on_shared_and_fresh_complexes(m, name, monkey
         assert fresh.complex is not cy.complex
         assert fresh.weights == cy.weights
         assert check_balancing(fresh) == check_balancing(cy)
+
+
+def scanned_rank(m, subset):
+    """The rank by the scan the bitmasks replaced."""
+    s = frozenset(subset)
+    return max(len(b & s) for b in m.bases)
+
+
+def representable_matroids(count, seed):
+    """Column matroids of random integer matrices with entries in -1..1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, r = rng.randint(2, 6), rng.randint(1, 4)
+        cols = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(n)]
+        bases = [b for b in combinations(range(1, n + 1), r)
+                 if matrix_rank([cols[e - 1] for e in b]) == r]
+        if bases:
+            out.append(Matroid(n, bases))
+    return out
+
+
+def test_rank_matches_the_basis_scan():
+    cases = [uniform_matroid(r, n) for n in range(1, 7) for r in range(n + 1)]
+    cases += [graphic_matroid(K4_EDGES)] + representable_matroids(25, 5)
+    for m in cases:
+        for k in range(m.n + 1):
+            for s in combinations(range(1, m.n + 1), k):
+                assert m.rank(s) == m.rank(frozenset(s)) == scanned_rank(m, s), (m.bases, s)

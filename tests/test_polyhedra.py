@@ -5,7 +5,12 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from troprr.hypersurface import smooth_simplex_polynomial, tropical_hypersurface
+from troprr.cycles import power_tower
+from troprr.hypersurface import (
+    TropicalPolynomial,
+    smooth_simplex_polynomial,
+    tropical_hypersurface,
+)
 from troprr import polyhedra
 from troprr.linalg import (
     gcd_list,
@@ -15,17 +20,19 @@ from troprr.linalg import (
     matrix_rank,
     nullspace,
     primitive,
+    sign_normalize,
     solve_linear,
     vadd,
     vdot,
 )
-from troprr.matroids import bergman_complex, graphic_matroid, uniform_matroid
+from troprr.matroids import bergman_complex, bergman_fan, graphic_matroid, uniform_matroid
 from troprr.polyhedra import (
     NEG_INF,
     LatticePolytope,
     Polyhedron,
     PolyhedralComplex,
     RationalPoint,
+    cone_in_union,
     intersect_polyhedra,
     lineality_space,
     local_cone,
@@ -569,3 +576,187 @@ def test_extreme_rays_match_enumeration(case):
     rays = polyhedra._extreme_rays(rows, dim)
     assert len(rays) == len(set(rays))
     assert set(rays) == enumerated_extreme_rays(rows, dim)
+
+
+# -- cone_in_union by double-description cuts, against the splitting it replaced
+
+
+def splitting_cone_in_union(p, cones):
+    """Reference cover test: each piece is rebuilt from its H-rep plus the
+    cut by polyhedron_from_hrep and tested with contains_polyhedron."""
+    hyperplanes = []
+    seen = set()
+    for c in cones:
+        eqs, ineqs = c.hrep()
+        for h in eqs + ineqs:
+            key = sign_normalize(tuple(int(x) for x in h))
+            if key not in seen:
+                seen.add(key)
+                hyperplanes.append(key)
+
+    def rec(piece, depth):
+        if any(c.contains_polyhedron(piece) for c in cones):
+            return True
+        if depth > len(hyperplanes):
+            return False
+        gens = homogeneous_generators(piece)
+        peqs, pineqs = piece.hrep()
+        for h in hyperplanes:
+            vals = [vdot(h, g) for g in gens]
+            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                for half in (h, tuple(-x for x in h)):
+                    part = polyhedron_from_hrep(list(peqs), list(pineqs) + [half],
+                                                piece.ambient_dim)
+                    if part is None or part.dim < piece.dim:
+                        continue
+                    if not rec(part, depth + 1):
+                        return False
+                return True
+        return False
+
+    return rec(p, 0)
+
+
+@st.composite
+def cover_cases(draw):
+    """(p, polyhedra) in R^2 or R^3: mostly cones, some with lineality, some
+    polyhedra with vertices; p is a cone, a polyhedron, or the union of two
+    of the polyhedra's generators, often with redundant generators added."""
+    n = draw(st.integers(2, 3))
+
+    def cone():
+        return Polyhedron([(0,) * n], draw(st.lists(directions(n), min_size=1, max_size=3)),
+                          draw(st.lists(directions(n), max_size=1)) if draw(st.booleans()) else [])
+
+    def polyhedron():
+        return Polyhedron(draw(st.lists(points(n), min_size=1, max_size=3)),
+                          draw(st.lists(directions(n), max_size=2)),
+                          draw(st.lists(directions(n), max_size=1)))
+
+    cones = [cone() for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        cones.append(polyhedron())
+    kind = draw(st.sampled_from(("union", "cone", "polyhedron")))
+    if kind == "union":
+        a, b = draw(st.sampled_from(cones)), draw(st.sampled_from(cones))
+        vs, rays, lin = a.vertices + b.vertices, a.rays + b.rays, a.lineality + b.lineality
+    else:
+        q = cone() if kind == "cone" else polyhedron()
+        vs, rays, lin = q.vertices, q.rays, q.lineality
+    vs, rays = list(vs), list(rays)
+    if draw(st.booleans()):
+        vs.append(tuple((a + b) / 2 for a, b in zip(vs[0], vs[-1])))
+        if rays:
+            rays.append(tuple(a + b for a, b in zip(rays[0], rays[-1])))
+            vs.append(vadd(vs[0], rays[0]))
+    return Polyhedron(vs, [r for r in rays if any(r)], lin), cones
+
+
+def cone(rays, lineality=()):
+    return Polyhedron([(0,) * len(rays[0])], rays, lineality)
+
+
+QUADRANT = cone([(1, 0), (0, 1)])
+FAN_RAYS = [(1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (0, 1)]
+COVER_EXAMPLES = [
+    # a quadrant split exactly by two wedges, and one wedge short of it
+    (QUADRANT, [cone([(1, 0), (1, 1)]), cone([(1, 1), (0, 1)])], True),
+    (QUADRANT, [cone([(1, 0), (2, 1)]), cone([(1, 1), (0, 1)])], False),
+    # the quadrant fanned into five wedges, and with the last one short
+    (QUADRANT, [cone(pair) for pair in zip(FAN_RAYS, FAN_RAYS[1:])], True),
+    (QUADRANT, [cone(pair) for pair in zip(FAN_RAYS, FAN_RAYS[1:-1] + [(1, 3)])], False),
+    # the same quadrant with a redundant ray, and a redundant vertex
+    (cone([(1, 0), (1, 1), (0, 1)]), [cone([(1, 0), (1, 1)]), cone([(1, 1), (0, 1)])], True),
+    (Polyhedron([(0, 0), (1, 1)], [(1, 0), (1, 2), (0, 1)]),
+     [cone([(1, 0), (1, 1)]), cone([(1, 1), (0, 1)])], True),
+    # a line and a half-plane given by opposite rays, split into their halves
+    (cone([(1, 0), (-1, 0)]), [cone([(1, 0)]), cone([(-1, 0)])], True),
+    (cone([(1, 0), (-1, 0), (0, 1)]), [QUADRANT, cone([(-1, 0), (0, 1)])], True),
+    # a half-plane, whose line is cut by the lineality step, and a plane
+    (cone([(1, 0)], [(0, 1)]), [cone([(1, 0), (0, 1)]), cone([(1, 0), (0, -1)])], True),
+    (cone([(1, 0)], [(0, 1)]), [cone([(1, 0), (0, 1)]), cone([(1, -1), (0, -1)])], False),
+    (cone([(1, 0)], [(1, 0), (0, 1)]),
+     [cone([(1, 0), (0, 1)], [(1, 1)]), cone([(1, 0), (0, -1)], [(1, 1)])], True),
+    # a lineality piece against cones that themselves have lineality
+    (cone([(0, 0, 1)], [(1, 0, 0), (0, 1, 0)]),
+     [cone([(0, 1, 0), (0, 0, 1)], [(1, 0, 0)]), cone([(0, -1, 0), (0, 0, 1)], [(1, 0, 0)])],
+     True),
+    # a polytope covered by two triangles, and by two that leave a gap
+    (Polyhedron([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)]),
+     [Polyhedron([(0, 0), (2, 0), (2, 2)]), Polyhedron([(0, 0), (2, 2), (0, 2)])], True),
+    (Polyhedron([(0, 0), (2, 0), (2, 2), (0, 2)]),
+     [Polyhedron([(0, 0), (2, 0), (2, 2)]), Polyhedron([(0, 0), (2, 2), (1, 2)])], False),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_cases())
+def test_cone_in_union_matches_splitting(case):
+    p, cones = case
+    assert cone_in_union(p, cones) == splitting_cone_in_union(p, cones)
+
+
+@pytest.mark.parametrize("p,cones,expected", COVER_EXAMPLES)
+def test_cone_in_union_examples(p, cones, expected):
+    assert cone_in_union(p, cones) == splitting_cone_in_union(p, cones) == expected
+
+
+def support_identity_cases(r):
+    """(weighted cell, Bergman cones, expected) for the j-th power of the
+    hyperplane in R^r: inside the fan of U(r - j, r + 1), and not inside the
+    smaller fan of U(r - j - 1, r + 1)."""
+    terms = {tuple(0 for _ in range(r)): 0}
+    for i in range(r):
+        terms[tuple(int(i == j) for j in range(r))] = 0
+    f = TropicalPolynomial(r, terms)
+    tower = power_tower(f, tropical_hypersurface(f))
+    out = []
+    for j in range(r):
+        layer = tower.layers[j]
+        for k, expected in ((r - j, True), (r - j - 1, False)):
+            if k >= 1:
+                berg = bergman_fan(uniform_matroid(k, r + 1))
+                cones = [berg.complex.cells[i] for i in berg.weights]
+                out += [(layer.complex.cells[i], cones, expected) for i in layer.weights]
+    return out
+
+
+def test_cone_in_union_on_the_rank_3_support_identity():
+    cases = support_identity_cases(3)
+    assert {e for _, _, e in cases} == {True, False}
+    for p, cones, expected in cases:
+        assert cone_in_union(p, cones) == splitting_cone_in_union(p, cones) == expected
+
+
+def piece_polyhedron(gens, lin):
+    """The polyhedron of cone_in_union's homogeneous piece generators."""
+    return Polyhedron([tuple(Fraction(x, g[0]) for x in g[1:]) for g in gens if g[0]],
+                      [g[1:] for g in gens if not g[0]], [l[1:] for l in lin])
+
+
+def test_no_split_path_repeats_a_hyperplane(monkeypatch):
+    """Every half is cut by a hyperplane new to its path, keeps the
+    dimension of its piece and is generated by its extreme generators
+    alone, so the recursion needs no depth cutoff."""
+    original = polyhedra._halfspace
+    path = {}
+    depths = []
+
+    def recording(gens, zeros, lin, dim, a, bit):
+        half = original(gens, zeros, lin, dim, a, bit)
+        key = sign_normalize(a)
+        assert key not in [path[b] for b in path if b < bit]
+        for b in [b for b in path if b > bit]:
+            del path[b]
+        path[bit] = key
+        depths.append(len(path))
+        assert matrix_rank(half[0] + half[2]) == matrix_rank(gens + lin)
+        can = piece_polyhedron(half[0], half[2]).canonicalize()
+        assert len(can.vertices) + len(can.rays) == len(half[0])
+        return half
+
+    monkeypatch.setattr(polyhedra, "_halfspace", recording)
+    for p, cones, expected in support_identity_cases(3) + COVER_EXAMPLES:
+        path.clear()
+        assert cone_in_union(p, cones) == expected
+    assert max(depths) >= 3
