@@ -12,7 +12,6 @@ from .linalg import (
     det,
     in_span,
     is_zero_vec,
-    matrix_rank,
     primitive,
     quotient_generator,
     solve_linear,
@@ -23,7 +22,6 @@ from .linalg import (
 )
 from .polyhedra import (
     PolyhedralComplex,
-    Polyhedron,
     lineality_space,
     local_cone,
 )

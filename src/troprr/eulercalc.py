@@ -5,11 +5,9 @@ the power supports, and the two bookkeeping paths for chi of a complement."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cycles import (
     TropicalCycle,
-    degree,
     divisor_intersect,
     power_tower,
 )
@@ -21,14 +19,13 @@ from .hypersurface import (
     tropical_hypersurface,
 )
 from .linalg import (
-    is_zero_vec,
     lattice_basis_of_span,
     primitive,
     solve_linear,
     vdot,
     vsub,
 )
-from .polyhedra import LatticePolytope, PolyhedralComplex, Polyhedron
+from .polyhedra import LatticePolytope, PolyhedralComplex
 
 
 def chi_c_cells(complex_: PolyhedralComplex, cell_indices) -> int:
@@ -57,23 +54,35 @@ class FaceStratum:
     tower: object  # DivisorPowerTower for face_dim >= 1, else None
 
 
-def face_polynomial(f: TropicalPolynomial, face_vertices) -> TropicalPolynomial:
-    """Truncation of f to a face of its Newton polytope, written in lattice
-    coordinates of the face's direction space (exact dual pairing)."""
-    face_poly = Polyhedron(list(face_vertices))
-    members = [e for e in f.terms if face_poly.contains(e)]
-    base = members[0]
-    dirs = [vsub(e, base) for e in members if e != base]
-    basis = lattice_basis_of_span(dirs, f.n)
-    k = len(basis)
-    rows = list(zip(*basis))
+def face_polynomial(g: TropicalPolynomial, p: LatticePolytope,
+                    fverts) -> TropicalPolynomial:
+    """Truncation of g to the face of p (the Newton polytope of a polynomial
+    f) with vertices fverts, in lattice coordinates of the face's direction
+    space (exact dual pairing). The truncation keeps the terms maximizing
+    <., u> for u the sum of the outer normals of p's facets through the face,
+    a point of the relative interior of its normal cone: for g = f these are
+    f's terms on the face. For another g, the two Newton polytopes must share
+    their normal fan on this face; g's terms are written in the coordinates
+    f's truncation uses."""
+    base = fverts[0]
+    dirs = [vsub(v, base) for v in fverts[1:]]
+    n = p.ambient_dim
+    basis = lattice_basis_of_span(dirs, n)
+    tight_normals = [primitive(tuple(-c for c in h[1:])) for h in p.polyhedron().hrep()[1]
+                     if any(h[1:]) and all(vdot(h, (1,) + v) == 0 for v in fverts)]
+    u = tuple(sum(t[i] for t in tight_normals) for i in range(n))
+    vals = {e: vdot(e, u) for e in g.terms}
+    m = max(vals.values())
+    members = [e for e, v in vals.items() if v == m]
+    gbase = members[0]
+    rows = [list(r) for r in zip(*basis)]
     terms = {}
     for e in members:
-        sol = solve_linear([list(r) for r in rows], vsub(e, base))
+        sol = solve_linear(rows, vsub(e, gbase))
         if sol is None or any(s.denominator != 1 for s in sol):
             raise ValueError("face exponent outside the face lattice")
-        terms[tuple(int(s) for s in sol)] = f.terms[e]
-    return TropicalPolynomial(k, terms)
+        terms[tuple(int(s) for s in sol)] = g.terms[e]
+    return TropicalPolynomial(len(basis), terms)
 
 
 def toric_strata(f: TropicalPolynomial) -> list[FaceStratum]:
@@ -85,7 +94,7 @@ def toric_strata(f: TropicalPolynomial) -> list[FaceStratum]:
         if fdim == 0:
             out.append(FaceStratum(0, fverts, None, None))
             continue
-        ff = face_polynomial(f, fverts)
+        ff = face_polynomial(f, p, fverts)
         base = ambient_cycle(ff)
         tower = power_tower(ff, base, kmax=fdim)
         out.append(FaceStratum(fdim, fverts, ff, tower))
@@ -181,8 +190,8 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
         if fdim == 1:
             # Boundary strata: the curve meets them in points; demand that D'
             # stays away from those points.
-            ff = face_polynomial(f_curve, fverts)
-            gg = face_polynomial_on_same_face(f_other, p, fverts)
+            ff = face_polynomial(f_curve, p, fverts)
+            gg = face_polynomial(f_other, p, fverts)
             if len(ff.terms) < 2 or len(gg.terms) < 2:
                 continue
             hf, hg = tropical_hypersurface(ff), tropical_hypersurface(gg)
@@ -192,8 +201,8 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
                 raise ValueError("second curve hits a boundary point of the "
                                  "first; re-seed the instance")
             continue
-        ff = face_polynomial(f_curve, fverts)
-        gg = face_polynomial_on_same_face(f_other, p, fverts)
+        ff = face_polynomial(f_curve, p, fverts)
+        gg = face_polynomial(f_other, p, fverts)
         curve = tropical_hypersurface(ff)
         phi = cartier_from_polynomial(gg, curve)
         pts = divisor_intersect(phi)
@@ -203,53 +212,6 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
                 raise ValueError("intersection point hits a curve vertex")
             points.append((fdim, fverts, x, w))
     return points
-
-
-def face_polynomial_on_same_face(g: TropicalPolynomial, p: LatticePolytope,
-                                 fverts) -> TropicalPolynomial:
-    """Truncate g to the face of p (the Newton polytope of a polynomial f)
-    with the same direction space, in the same lattice coordinates used for
-    f's truncation. Requires the two Newton polytopes to share their normal
-    fan on this face."""
-    base = fverts[0]
-    dirs = [vsub(v, base) for v in fverts[1:]]
-    n = p.ambient_dim
-    basis = lattice_basis_of_span(dirs, n) if dirs else []
-    # The face of g's Newton polytope in the same normal directions: argmax of
-    # <., u> for u in the relative interior of the normal cone. Use the face
-    # of g whose maximizing directions contain those of f's face.
-    eqs, ineqs = p.polyhedron().hrep()
-    tight_normals = []
-    for h in ineqs:
-        if is_zero_vec(h[1:]):
-            continue
-        if all(
-            vdot(h, (Fraction(1),) + tuple(Fraction(c) for c in v)) == 0
-            for v in fverts
-        ):
-            tight_normals.append(primitive(tuple(-c for c in h[1:])))
-    # Direction in the relative interior of the normal cone of the face.
-    if tight_normals:
-        u = tuple(sum(t[i] for t in tight_normals) for i in range(n))
-    else:
-        u = tuple(0 for _ in range(n))
-    vals = {e: vdot(e, u) for e in g.terms}
-    m = max(vals.values())
-    members = [e for e, v in vals.items() if v == m]
-    gbase = members[0]
-    rows = list(zip(*basis)) if basis else []
-    terms = {}
-    for e in members:
-        if basis:
-            sol = solve_linear([list(r) for r in rows], vsub(e, gbase))
-            if sol is None or any(s.denominator != 1 for s in sol):
-                raise ValueError("truncation of the second polynomial leaves "
-                                 "the face lattice")
-            terms[tuple(int(s) for s in sol)] = g.terms[e]
-        else:
-            terms[()] = g.terms[e]
-    k = len(basis)
-    return TropicalPolynomial(k, terms)
 
 
 def chi_curve_complement_on_surface(f_curve: TropicalPolynomial, points) -> int:

@@ -23,6 +23,7 @@ from .polyhedra import (
     LatticePolytope,
     PolyhedralComplex,
     Polyhedron,
+    _faces_from_facets,
     polytope_normalized_volume,
 )
 
@@ -82,16 +83,15 @@ class RegularSubdivision:
 
     def faces(self):
         """All faces of all maximal cells as (member frozenset, dim), each
-        listed once; members are ALL exponents of f lying on the face."""
+        listed once; members are ALL exponents of f lying on the face. Every
+        facet of a maximal cell is its intersection with a neighbouring cell
+        or with a Newton-polytope facet, so the faces are the cells' exponent
+        sets closed under intersection with those sets."""
         if not hasattr(self, "_faces"):
-            found: dict[frozenset, int] = {}
-            for exps, _x in self.maximal_cells:
-                cell_lp = LatticePolytope(list(exps))
-                for fdim, fverts in cell_lp.faces():
-                    fpoly = Polyhedron(list(fverts))
-                    members = frozenset(e for e in exps if fpoly.contains(e))
-                    found[members] = fdim
-            self._faces = sorted(found.items(), key=lambda t: (t[1], sorted(t[0])))
+            cells = [exps for exps, _x in self.maximal_cells]
+            tight = cells + [exps for exps, _outer in self.facets]
+            self._faces = [(frozenset(members), d)
+                           for d, members in _faces_from_facets(cells, tight)]
         return self._faces
 
     def is_smooth(self) -> bool:
@@ -212,8 +212,8 @@ def tropical_hypersurface(f: TropicalPolynomial) -> TropicalCycle:
     for members, d in faces:
         if d != 1:
             continue
-        ends = LatticePolytope(list(members)).vertices
-        weights[index[members]] = gcd_list(vsub(ends[1], ends[0]))
+        # The members of an edge lie on a line; its ends are the extremes.
+        weights[index[members]] = gcd_list(vsub(max(members), min(members)))
     cycle = TropicalCycle(complex_, n - 1, weights)
     cycle.subdivision = sub
     cycle.dual_face_index = index

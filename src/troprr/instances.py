@@ -173,20 +173,14 @@ def ring_pairing_degree(q1: LatticePolytope, q2: LatticePolytope) -> int:
 # -- relative uniformity ------------------------------------------------------------
 
 
-def sample_uniformity(f, limit: int = 4):
-    """relatively_uniform at up to `limit` vertices of the interior
-    hypersurface of f, against the ambient linear space."""
+def sample_uniformity(f):
+    """relatively_uniform at every vertex of the interior hypersurface of f,
+    in sorted order, against the ambient linear space."""
     curve = tropical_hypersurface(f)
     n = curve.complex.ambient_dim
     origin = tuple(0 for _ in range(n))
     basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     ambient = PolyhedralComplex(n, [Polyhedron([origin], lineality=basis)], [])
-    results = []
-    vertices = []
-    for i in curve.complex.faces_closure(curve.support_cells()):
-        cell = curve.complex.cells[i]
-        if cell.dim == 0 and not cell.rays:
-            vertices.append(cell.vertices[0])
-    for x in sorted(vertices)[:limit]:
-        results.append(relatively_uniform(local_cycle(curve, x), ambient))
-    return results
+    cells = [curve.complex.cells[i] for i in curve.complex.faces_closure(curve.support_cells())]
+    vertices = sorted(c.vertices[0] for c in cells if c.dim == 0 and not c.rays)
+    return [relatively_uniform(local_cycle(curve, x), ambient) for x in vertices]

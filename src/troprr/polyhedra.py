@@ -10,7 +10,8 @@ conversion is an integer double description (``_extreme_rays``) of the
 homogenized cone; a pointed polyhedron is canonicalized without it, by the
 rank of the rows tight at each of its generators. ``cone_in_union`` splits
 its pieces with the same double-description cut (``_cut``), on integer
-generators.
+generators. Faces are enumerated once, as intersections of facet point sets
+(``_faces_from_facets``), with no H-representation per face.
 """
 
 from __future__ import annotations
@@ -761,25 +762,12 @@ class LatticePolytope:
         return [p for p in self.lattice_points() if all(vdot(f, (1,) + p) > 0 for f in facets)]
 
     def faces(self) -> list[tuple[int, tuple[IntVec, ...]]]:
-        """All proper and improper nonempty faces as (dim, vertex tuple),
-        including the polytope itself; excludes the empty face."""
-        found = {}
-
-        def rec(vert_subset):
-            key = tuple(sorted(vert_subset))
-            if key in found:
-                return
-            sub = Polyhedron(list(vert_subset))
-            found[key] = sub.dim
-            for f in sub._integer_hrep()[1]:
-                if not any(f[1:]):
-                    continue
-                tight = [v for v in vert_subset if vdot(f, (1,) + v) == 0]
-                if tight and len(tight) < len(vert_subset):
-                    rec(tuple(tight))
-
-        rec(self.vertices)
-        return sorted(((d, vs) for vs, d in found.items()), key=lambda t: (t[0], t[1]))
+        """All nonempty faces, the polytope itself included, as (dim, vertex
+        tuple), sorted: the vertex sets of its facets closed under
+        intersection."""
+        facets = [[v for v in self.vertices if vdot(f, (1,) + v) == 0]
+                  for f in self._poly._integer_hrep()[1] if any(f[1:])]
+        return _faces_from_facets([self.vertices], facets)
 
     def __eq__(self, other):
         return isinstance(other, LatticePolytope) and self.vertices == other.vertices
@@ -789,6 +777,29 @@ class LatticePolytope:
 
     def __repr__(self):
         return f"LatticePolytope(dim={self.dim}, vertices={self.vertices})"
+
+
+def _faces_from_facets(tops, facets) -> list[tuple[int, tuple]]:
+    """The point sets ``tops`` closed under intersection with the point sets
+    ``facets``, as sorted (dim, sorted members) for every nonempty set, the
+    dim being the rank of the members' differences. With a polytope's point
+    set as the top and its facets' point sets as facets, these are its faces:
+    every face is the intersection of the facets that contain it (Ziegler,
+    Lectures on Polytopes, Thm 2.7)."""
+    facets = [frozenset(s) for s in facets]
+    found: set[frozenset] = set()
+    frontier = [frozenset(t) for t in tops]
+    while frontier:
+        face = frontier.pop()
+        if face in found:
+            continue
+        found.add(face)
+        frontier.extend(sub for sub in (face & s for s in facets) if sub and sub not in found)
+    out = []
+    for face in found:
+        pts = sorted(face)
+        out.append((matrix_rank([vsub(q, pts[0]) for q in pts[1:]]), tuple(pts)))
+    return sorted(out)
 
 
 def lattice_points(p: LatticePolytope) -> list[IntVec]:

@@ -23,6 +23,12 @@ def test_tpn_passes(capsys):
     assert "rr_equals_lattice_count: 6 == 6" in out
 
 
+@pytest.mark.parametrize("n,d", [(1, 2), (3, 1)])
+def test_tpn_reports_uniformity_unchecked_off_the_plane(n, d, capsys):
+    assert main(["tpn", str(n), str(d)]) == 2
+    assert "[unchecked] hypothesis: relatively_uniform" in capsys.readouterr().out
+
+
 def test_tpn_rejects_out_of_range():
     assert main(["--max-degree", "2", "tpn", "2", "5"]) == 1
     assert main(["tpn", "4", "1"]) == 1
@@ -158,18 +164,19 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# (argv, exit code); tpn 3 1 exits 2 for its unchecked relatively_uniform flag.
 POLYNOMIAL_COMMANDS = [
-    pytest.param(["tpn", "2", "2"], id="tpn-2-2"),
-    pytest.param(["tpn", "3", "1"], id="tpn-3-1"),
-    pytest.param(["euler", str(GOLDEN / "p3_d1_polynomial.json")], id="euler-p3-d1"),
-    pytest.param(["euler", str(GOLDEN / "plane_d3_polynomial.json")], id="euler-plane-d3"),
-    pytest.param(["hypersurface", str(GOLDEN / "plane_d3_polynomial.json")],
+    pytest.param(["tpn", "2", "2"], 0, id="tpn-2-2"),
+    pytest.param(["tpn", "3", "1"], 2, id="tpn-3-1"),
+    pytest.param(["euler", str(GOLDEN / "p3_d1_polynomial.json")], 0, id="euler-p3-d1"),
+    pytest.param(["euler", str(GOLDEN / "plane_d3_polynomial.json")], 0, id="euler-plane-d3"),
+    pytest.param(["hypersurface", str(GOLDEN / "plane_d3_polynomial.json")], 0,
                  id="hypersurface-plane-d3"),
 ]
 
 
-@pytest.mark.parametrize("argv", POLYNOMIAL_COMMANDS[:4])
-def test_tpn_and_euler_build_the_strata_once(argv, monkeypatch, capsys):
+@pytest.mark.parametrize("argv,code", POLYNOMIAL_COMMANDS[:4])
+def test_tpn_and_euler_build_the_strata_once(argv, code, monkeypatch, capsys):
     calls = []
     original = eulercalc.toric_strata
 
@@ -180,14 +187,15 @@ def test_tpn_and_euler_build_the_strata_once(argv, monkeypatch, capsys):
     # Both the CLI's own name and the one eulercalc's wrappers look up.
     monkeypatch.setattr(eulercalc, "toric_strata", counting)
     monkeypatch.setattr(cli, "toric_strata", counting, raising=False)
-    assert main(argv) == 0
+    assert main(argv) == code
     capsys.readouterr()
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("argv", POLYNOMIAL_COMMANDS)
-def test_one_subdivision_per_distinct_polynomial_in_a_command(argv, subdivision_calls, capsys):
-    assert main(argv) == 0
+@pytest.mark.parametrize("argv,code", POLYNOMIAL_COMMANDS)
+def test_one_subdivision_per_distinct_polynomial_in_a_command(argv, code, subdivision_calls,
+                                                              capsys):
+    assert main(argv) == code
     capsys.readouterr()
     assert subdivision_calls and len(subdivision_calls) == len(set(subdivision_calls))
 

@@ -17,22 +17,24 @@ from troprr.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 U24 = '{"n": 4, "bases": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
 
-# name -> argv after "--json-out PATH"; "@file" names an input under golden/.
+# name -> (argv after "--json-out PATH", exit code); "@file" names an input
+# under golden/.
 CASES = {
-    "csm_u24": ["csm", U24],
-    "csm_k4": ["csm", "@k4_matroid.json"],
-    "tpn_2_2": ["tpn", "2", "2"],
-    "hypersurface_p3_d1": ["hypersurface", "@p3_d1_polynomial.json"],
-    "tpn_3_1": ["tpn", "3", "1"],
-    "euler_p3_d1": ["euler", "@p3_d1_polynomial.json"],
-    "euler_plane_d3": ["euler", "@plane_d3_polynomial.json"],
+    "csm_u24": (["csm", U24], 0),
+    "csm_k4": (["csm", "@k4_matroid.json"], 0),
+    "tpn_2_2": (["tpn", "2", "2"], 0),
+    "hypersurface_p3_d1": (["hypersurface", "@p3_d1_polynomial.json"], 0),
+    # Relative uniformity is not checked for n = 3: the flag is unchecked.
+    "tpn_3_1": (["tpn", "3", "1"], 2),
+    "euler_p3_d1": (["euler", "@p3_d1_polynomial.json"], 0),
+    "euler_plane_d3": (["euler", "@plane_d3_polynomial.json"], 0),
     # Tied heights: two unit squares among the maximal cells (not smooth).
-    "euler_plane_tied": ["euler", "@plane_tied_polynomial.json"],
+    "euler_plane_tied": (["euler", "@plane_tied_polynomial.json"], 0),
 }
 
 
 def _argv(name, json_out):
-    args = [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in CASES[name]]
+    args = [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in CASES[name][0]]
     return ["--json-out", str(json_out)] + args
 
 
@@ -47,7 +49,7 @@ def _run(name, json_out):
 def test_cli_report_matches_golden(name, tmp_path):
     json_out = tmp_path / "out.json"
     code, stdout = _run(name, json_out)
-    assert code == 0
+    assert code == CASES[name][1]
     assert stdout == (GOLDEN / f"{name}.stdout").read_text()
     assert json_out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
@@ -56,6 +58,6 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         out = GOLDEN / f"{case}.json"
         code, stdout = _run(case, out)
-        if code != 0:
-            sys.exit(f"{case}: exit code {code}")
+        if code != CASES[case][1]:
+            sys.exit(f"{case}: exit code {code}, expected {CASES[case][1]}")
         (GOLDEN / f"{case}.stdout").write_text(stdout)

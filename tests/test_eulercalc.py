@@ -1,9 +1,11 @@
 """Euler characteristics of hypersurface complements: power-tower paths,
 compactly supported duals, polygon three-way counts, and curve pairs."""
 
+import itertools
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from troprr.eulercalc import (
     chi_c_complement,
@@ -11,8 +13,9 @@ from troprr.eulercalc import (
     chi_complement_paths,
     chi_curve_complement_on_surface,
     curve_intersection_points,
+    face_polynomial,
 )
-from troprr.hypersurface import smooth_simplex_polynomial
+from troprr.hypersurface import TropicalPolynomial, newton_polytope, smooth_simplex_polynomial
 from troprr.instances import (
     curve_pair,
     curve_pair_moderate,
@@ -24,7 +27,8 @@ from troprr.instances import (
     verify_curve_pair,
     verify_polygon,
 )
-from troprr.polyhedra import LatticePolytope
+from troprr.linalg import lattice_basis_of_span, solve_linear, vsub
+from troprr.polyhedra import LatticePolytope, Polyhedron
 
 TRIANGLE = LatticePolytope([(0, 0), (1, 0), (0, 1)])
 CONIC_TRIANGLE = LatticePolytope([(0, 0), (2, 0), (0, 2)])
@@ -91,6 +95,56 @@ def test_uniformity_at_curve_vertices():
     assert all(r.status == "true" for r in sample_uniformity(f))
 
 
+def test_uniformity_checks_every_curve_vertex():
+    # A smooth plane cubic has one vertex per triangle of its subdivision.
+    results = sample_uniformity(smooth_simplex_polynomial(2, 3))
+    assert len(results) == 9
+    assert all(r.status == "true" for r in results)
+
+
 def test_chi_complement_consistency_guard():
     f = smooth_simplex_polynomial(2, 2)
     assert chi_complement(f) == 6
+
+
+# -- face truncations, against truncation by containment --------------------------
+
+
+def containment_face_polynomial(f, face_vertices):
+    """Reference truncation: the terms the face's polyhedron contains, in
+    lattice coordinates of the span of their differences."""
+    face_poly = Polyhedron(list(face_vertices))
+    members = [e for e in f.terms if face_poly.contains(e)]
+    base = members[0]
+    basis = lattice_basis_of_span([vsub(e, base) for e in members if e != base], f.n)
+    rows = [list(r) for r in zip(*basis)]
+    terms = {}
+    for e in members:
+        sol = solve_linear(rows, vsub(e, base))
+        assert all(s.denominator == 1 for s in sol)
+        terms[tuple(int(s) for s in sol)] = f.terms[e]
+    return TropicalPolynomial(len(basis), terms)
+
+
+@st.composite
+def random_polynomials(draw):
+    """Exponents in a small box, so faces carry non-vertex terms and some
+    Newton polytopes are not full-dimensional, with small rational heights."""
+    n = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=8,
+                         unique=True))
+    heights = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return TropicalPolynomial(n, [(e, draw(heights)) for e in exps])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_polynomials())
+@example(smooth_simplex_polynomial(3, 2))
+@example(TropicalPolynomial(3, {e: 0 for e in itertools.product(range(2), repeat=3)}))
+@example(TropicalPolynomial(2, {(0, 0): 0, (2, 0): 0, (1, 0): 1, (0, 2): 0, (1, 1): -1}))
+def test_face_polynomial_matches_truncation_by_containment(f):
+    p = newton_polytope(f)
+    for _fdim, fverts in p.faces():
+        ff, ref = face_polynomial(f, p, fverts), containment_face_polynomial(f, fverts)
+        assert ff.n == ref.n
+        assert list(ff.terms.items()) == list(ref.terms.items())

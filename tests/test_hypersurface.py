@@ -22,7 +22,8 @@ from troprr.hypersurface import (
     tropical_hypersurface,
 )
 from troprr.linalg import is_zero_vec, matrix_rank, primitive, solve_linear, vdot, vsub
-from troprr.polyhedra import standard_simplex, validate_complex
+from troprr import polyhedra
+from troprr.polyhedra import LatticePolytope, Polyhedron, standard_simplex, validate_complex
 
 
 def line_poly():
@@ -295,6 +296,17 @@ def enumerating_facets(f):
     return out
 
 
+def per_cell_faces(sub):
+    """Reference subdivision faces: the faces of every maximal cell's
+    polytope, each with the cell's exponents its polyhedron contains."""
+    found = {}
+    for exps, _x in sub.maximal_cells:
+        for fdim, fverts in LatticePolytope(list(exps)).faces():
+            fpoly = Polyhedron(list(fverts))
+            found[frozenset(e for e in exps if fpoly.contains(e))] = fdim
+    return sorted(found.items(), key=lambda t: (t[1], sorted(t[0])))
+
+
 HEIGHTS = {
     "integer": st.integers(-2, 2),
     "rational": st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -344,6 +356,16 @@ def test_lifted_subdivision_matches_enumeration(f):
     assert sub.maximal_cells == enumerating_subdivision(f)
     assert len(set(sub.facets)) == len(sub.facets)
     assert set(sub.facets) == enumerating_facets(f)
+    assert sub.faces() == per_cell_faces(sub)
+
+
+def test_subdivision_faces_take_no_h_rep(monkeypatch):
+    sub = regular_subdivision(smooth_simplex_polynomial(3, 2))
+    calls = []
+    monkeypatch.setattr(polyhedra, "_hrep_from_vrep", lambda p: calls.append(p))
+    # 10 vertices, 25 edges, 24 triangles and 8 tetrahedra: Euler number 1.
+    assert [sum(1 for _m, d in sub.faces() if d == k) for k in range(4)] == [10, 25, 24, 8]
+    assert calls == []
 
 
 def test_tied_heights_give_square_cells():

@@ -227,6 +227,72 @@ def test_polytope_faces_of_square():
     assert dims == [0, 0, 0, 0, 1, 1, 1, 1, 2]
 
 
+# -- faces as intersections of facets, against the recursive walk -------------
+
+
+def recursive_faces(vertices):
+    """Reference face lattice: a V->H of every face found, recursing into
+    the vertices tight on each of its facets."""
+    found = {}
+
+    def rec(subset):
+        key = tuple(sorted(subset))
+        if key in found:
+            return
+        sub = Polyhedron(list(subset))
+        found[key] = sub.dim
+        for f in sub._integer_hrep()[1]:
+            if not any(f[1:]):
+                continue
+            tight = [v for v in subset if vdot(f, (1,) + v) == 0]
+            if tight and len(tight) < len(subset):
+                rec(tuple(tight))
+
+    rec(tuple(vertices))
+    return sorted((d, vs) for vs, d in found.items())
+
+
+@st.composite
+def lattice_point_sets(draw):
+    """Lattice points in R^1..R^3 spanning an affine space of dimension
+    0..n: base + integer combinations of k drawn directions, so collinear
+    and coplanar sets and single points come up."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    ints = st.integers(-2, 2)
+    base = draw(st.tuples(*[ints] * n))
+    dirs = draw(st.lists(st.tuples(*[ints] * n), min_size=k, max_size=k))
+    combos = draw(st.lists(st.tuples(*[ints] * k), min_size=1, max_size=7))
+    return [tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+            for cs in combos]
+
+
+CUBE = list(itertools.product((0, 1), repeat=3))
+PRISM = [(x, y, z) for x, y in [(0, 0), (2, 0), (0, 1)] for z in (0, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_point_sets())
+@example([(0, 0, 0)])
+@example([(0, 0), (1, 1), (3, 3)])
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)])
+@example(CUBE)
+@example(PRISM)
+def test_faces_match_the_recursive_walk(pts):
+    p = LatticePolytope(pts)
+    assert p.faces() == recursive_faces(p.vertices)
+
+
+def test_faces_take_no_h_rep_per_face(monkeypatch):
+    calls = []
+    original = polyhedra._hrep_from_vrep
+    monkeypatch.setattr(polyhedra, "_hrep_from_vrep", lambda p: calls.append(p) or original(p))
+    cube = LatticePolytope(CUBE)
+    calls.clear()
+    assert len(cube.faces()) == 27
+    assert len(calls) <= 1
+
+
 def test_polyhedra_equal():
     a = Polyhedron([(0, 0), (1, 0), (2, 0)])
     b = Polyhedron([(0, 0), (2, 0)])
