@@ -22,8 +22,8 @@ from .curves import (
 from .cycles import check_balancing
 from .eulercalc import chi_c_from_strata, chi_paths_from_strata, toric_strata
 from .hypersurface import (
+    _subdivision_of,
     is_smooth,
-    newton_polytope,
     smooth_simplex_polynomial,
     tropical_hypersurface,
 )
@@ -212,10 +212,15 @@ def cmd_hypersurface(args) -> int:
 def cmd_euler(args) -> int:
     f = jsonio.polynomial_from_json(_load_json(args.polynomial, "polynomial JSON"))
     report = Report(f"euler n={f.n} terms={len(f.terms)}", args.seed)
+    sub = _subdivision_of(f)
     strata = toric_strata(f)
     a, b = chi_paths_from_strata(strata, f.n)
     report.check("power_tower_paths", a, b)
-    count = len(newton_polytope(f).lattice_points())
+    # chi(X \ D) is the lattice count only for smooth f. The flag is listed
+    # only when it fails, so the report of a smooth f keeps its form.
+    if not sub.is_smooth():
+        report.flag("smooth", "false")
+    count = len(sub.polytope.lattice_points())
     rep = jsonio.instance_report(a, b, count,
                                  [f["name"] for f in report.flags])
     print(report.render())

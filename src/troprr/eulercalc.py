@@ -13,9 +13,9 @@ from .cycles import (
 )
 from .hypersurface import (
     TropicalPolynomial,
+    _subdivision_of,
     ambient_cycle,
     cartier_from_polynomial,
-    newton_polytope,
     tropical_hypersurface,
 )
 from .linalg import (
@@ -88,7 +88,7 @@ def face_polynomial(g: TropicalPolynomial, p: LatticePolytope,
 def toric_strata(f: TropicalPolynomial) -> list[FaceStratum]:
     """One stratum per face of the Newton polytope, each carrying the divisor
     power tower of the truncated polynomial in that stratum's torus."""
-    p = newton_polytope(f)
+    p = _subdivision_of(f).polytope
     out = []
     for fdim, fverts in p.faces():
         if fdim == 0:
@@ -182,7 +182,7 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
     """Points of D' cap D inside the compactified curve D of f_curve, stratum
     by stratum; raises if an intersection point is not a smooth interior
     point of the curve (retry with a different seed in that case)."""
-    p = newton_polytope(f_curve)
+    p = _subdivision_of(f_curve).polytope
     points = []
     for fdim, fverts in p.faces():
         if fdim == 0:

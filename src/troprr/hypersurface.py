@@ -24,6 +24,7 @@ from .polyhedra import (
     PolyhedralComplex,
     Polyhedron,
     _faces_from_facets,
+    normalized_volume,
     polytope_normalized_volume,
 )
 
@@ -96,8 +97,6 @@ class RegularSubdivision:
 
     def is_smooth(self) -> bool:
         """All maximal cells are unimodular simplices."""
-        from .polyhedra import normalized_volume
-
         n = self.polynomial.n
         for exps, _x in self.maximal_cells:
             if len(exps) != n + 1:
@@ -130,7 +129,9 @@ def regular_subdivision(f: TropicalPolynomial) -> RegularSubdivision:
             facets.append((tight, primitive(tuple(-bi for bi in b))))
     maximal = sorted(cells, key=lambda t: sorted(t[0]))
     total = sum(
-        polytope_normalized_volume(LatticePolytope(list(exps))) for exps, _ in maximal
+        normalized_volume(sorted(exps)) if len(exps) == n + 1
+        else polytope_normalized_volume(LatticePolytope(list(exps)))
+        for exps, _ in maximal
     )
     if total != polytope_normalized_volume(p):
         raise ValueError("subdivision cells do not cover the Newton polytope")
@@ -163,6 +164,18 @@ def is_smooth(f: TropicalPolynomial) -> bool:
     return _subdivision_of(f).is_smooth()
 
 
+class DualComplex(PolyhedralComplex):
+    """The complex dual to the faces of a regular subdivision of a
+    polynomial's Newton polytope: cell i is dual to the face whose members
+    (every exponent on it) are ``faces[i]``; ``terms`` are the polynomial's
+    terms, which fix the subdivision."""
+
+    def __init__(self, ambient_dim: int, cells, face_relation, terms: dict, faces: list):
+        super().__init__(ambient_dim, cells, face_relation)
+        self.terms = terms
+        self.faces = faces
+
+
 def _dual_complex(sub: RegularSubdivision, min_face_dim: int):
     """Complex of cells dual to the subdivision faces of dim >= min_face_dim,
     built once per subdivision and min_face_dim (complexes are never changed
@@ -176,9 +189,19 @@ def _dual_complex(sub: RegularSubdivision, min_face_dim: int):
 
 
 def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int):
-    """Vertices of each dual cell are the dual vertices of the incident
-    maximal cells, its rays the primitive outer normals of the Newton-polytope
-    facets through the face."""
+    """The cell dual to a face F of the subdivision is the closed region
+    where every member of F attains the max (Maclagan-Sturmfels,
+    Introduction to Tropical Geometry, Prop. 3.1.6). Its vertices are the
+    dual vertices of the maximal cells containing F, and its rays the
+    primitive outer normals of the Newton-polytope facets containing F.
+
+    These generators are already irredundant, so the cell is not
+    canonicalized: distinct maximal cells have distinct dual vertices (each
+    cell is the full argmax set at its own), each is a vertex of the region
+    (the argmax there is a whole maximal cell, reached nowhere else), and
+    since the Newton polytope is full-dimensional its normal fan is pointed
+    and the facet normals through F are the extreme rays of F's normal
+    cone, the region's recession cone."""
     n = sub.polynomial.n
     faces = [(members, d) for members, d in sub.faces() if d >= min_face_dim]
     cells = []
@@ -186,7 +209,7 @@ def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int):
     for members, d in faces:
         dual_verts = [x for exps, x in sub.maximal_cells if members <= exps]
         rays = [outer for tight, outer in sub.facets if members <= tight]
-        cell = Polyhedron(dual_verts, rays=rays).canonicalize()
+        cell = Polyhedron(dual_verts, rays=rays)
         if cell.dim != n - d:
             raise ValueError("dual cell of unexpected dimension")
         index[members] = len(cells)
@@ -197,7 +220,9 @@ def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int):
             relation.add((index[m2], index[m1]))
         elif d1 == d2 + 1 and m2 < m1:
             relation.add((index[m1], index[m2]))
-    return PolyhedralComplex(n, cells, relation), index, faces
+    complex_ = DualComplex(n, cells, relation, sub.polynomial.terms,
+                           [members for members, _d in faces])
+    return complex_, index, faces
 
 
 def tropical_hypersurface(f: TropicalPolynomial) -> TropicalCycle:
@@ -270,13 +295,28 @@ def _dominates(a, ca, b, cb, cell: Polyhedron) -> bool:
 def cartier_from_polynomial(f: TropicalPolynomial, cycle: TropicalCycle,
                             allow_refine: bool = True) -> CartierFunction:
     """Restrict f to the cycle as a Cartier function: one dominating term per
-    weighted cell. If f is not affine on some cell of a curve, the curve is
-    refined at the breakpoints of f first; higher-dimensional cycles whose
-    cells f breaks are rejected."""
+    weighted cell.
+
+    On the complex dual to f's own subdivision (its hypersurface, its
+    ambient cycle and every layer of their power towers) f is affine on
+    each cell, and every member of the cell's dual face is a term that
+    attains the max on the whole cell; the piece is the smallest member,
+    the first dominating term in sorted order. On any other complex each
+    cell's piece is searched for among the terms maximal at a relative
+    interior point. If f is not affine on some cell of a curve, the curve
+    is refined at the breakpoints of f first; higher-dimensional cycles
+    whose cells f breaks are rejected."""
+    complex_ = cycle.complex
+    if isinstance(complex_, DualComplex) and complex_.terms == f.terms:
+        pieces = {}
+        for i in sorted(cycle.weights):
+            e = min(complex_.faces[i])
+            pieces[i] = (e, f.terms[e])
+        return CartierFunction(cycle, pieces)
     terms = sorted(f.terms.items())
     pieces = {}
     for i in sorted(cycle.weights):
-        cell = cycle.complex.cells[i]
+        cell = complex_.cells[i]
         p = cell.relative_interior_point()
         vals = [(vdot(e, p) + c, e, c) for e, c in terms]
         m = max(v for v, _, _ in vals)

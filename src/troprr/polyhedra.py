@@ -218,14 +218,17 @@ class Polyhedron:
 
         When the H-rep rows have rank n + 1 the polyhedron is pointed, so its
         vertices and extreme rays are the given generators whose tight rows
-        have rank n."""
+        have rank n. The polyhedron returned is the same set, so it keeps
+        this H-rep (the rows in this polyhedron's order)."""
         eqs, ineqs = self._integer_hrep()
         rows, n = eqs + ineqs, self.ambient_dim
         if matrix_rank(rows) == n + 1:
             def extreme(h):
                 return matrix_rank([a for a in rows if vdot(a, h) == 0]) == n
-            return Polyhedron([v for v in self.vertices if extreme(_homogenized(1, v))],
+            poly = Polyhedron([v for v in self.vertices if extreme(_homogenized(1, v))],
                               [r for r in self.rays if extreme((0,) + r)])
+            poly._hrep, poly._int_hrep = self._hrep, self._int_hrep
+            return poly
         eqs, ineqs = self.hrep()
         poly = polyhedron_from_hrep(eqs, ineqs, self.ambient_dim)
         if poly is None:
@@ -830,15 +833,15 @@ def polytope_normalized_volume(p: LatticePolytope) -> int:
     if p.dim != n:
         raise ValueError("normalized volume needs a full-dimensional polytope")
     total = 0
-    for simplex in _fan_triangulation(list(p.vertices)):
+    for simplex in _fan_triangulation(list(p.vertices), p.polyhedron()):
         total += normalized_volume(simplex)
     return total
 
 
-def _fan_triangulation(vertices):
-    """Triangulate a polytope (given by its vertices) by coning a base vertex
-    over triangulations of the facets not containing it."""
-    poly = Polyhedron(vertices)
+def _fan_triangulation(vertices, poly: Polyhedron):
+    """Triangulate a polytope, given by its vertices and as their Polyhedron
+    (whose H-rep is reused), by coning a base vertex over triangulations of
+    the facets not containing it."""
     d = poly.dim
     if len(vertices) == d + 1:
         return [list(vertices)]
@@ -848,9 +851,12 @@ def _fan_triangulation(vertices):
         if vdot(f, (1,) + base) == 0:
             continue
         facet_verts = [v for v in vertices if vdot(f, (1,) + v) == 0]
-        if not facet_verts or Polyhedron(facet_verts).dim != d - 1:
+        if not facet_verts:
             continue
-        for sub in _fan_triangulation(facet_verts):
+        facet = Polyhedron(facet_verts)
+        if facet.dim != d - 1:
+            continue
+        for sub in _fan_triangulation(facet_verts, facet):
             simplices.append([base] + sub)
     return simplices
 

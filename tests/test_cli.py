@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report JSON, and reproducibility."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from troprr import cli, eulercalc, instances
 from troprr.cli import main
 from troprr.hypersurface import polynomial_from_heights
-from troprr.polyhedra import standard_simplex
+from troprr.polyhedra import LatticePolytope, standard_simplex
 
 LINE = ('{"n": 2, "terms": [{"exp": [0,0], "coeff": "0"},'
         ' {"exp": [1,0], "coeff": "0"}, {"exp": [0,1], "coeff": "0"}]}')
@@ -76,12 +77,14 @@ def test_bertini_computes_each_intersection_once(monkeypatch, capsys):
 
 
 def test_curve_intersection_builds_the_curve_polytope_once(monkeypatch, capsys):
+    """The curve's Newton polytope is built once, by its memoized
+    subdivision; curve_intersection_points builds none of its own."""
     built = []
-    original_polytope = eulercalc.newton_polytope
+    original_init = LatticePolytope.__init__
 
-    def counting_polytope(f):
-        built.append(f)
-        return original_polytope(f)
+    def counting_init(self, points):
+        built.append(frozenset(tuple(p) for p in points))
+        original_init(self, points)
 
     per_call = []
     original = eulercalc.curve_intersection_points
@@ -89,17 +92,17 @@ def test_curve_intersection_builds_the_curve_polytope_once(monkeypatch, capsys):
     def counting(f, g):
         start = len(built)
         points = original(f, g)
-        per_call.append(sum(h is f for h in built[start:]))
+        per_call.append(built[start:].count(frozenset(f.terms)))
         return points
 
-    monkeypatch.setattr(eulercalc, "newton_polytope", counting_polytope)
+    monkeypatch.setattr(LatticePolytope, "__init__", counting_init)
     monkeypatch.setattr(eulercalc, "curve_intersection_points", counting)
     monkeypatch.setattr(instances, "curve_intersection_points", counting)
     assert main(["--seed", "3", "bertini",
                  '{"vertices": [[0,0],[1,0],[0,1]]}',
                  '{"vertices": [[0,0],[2,0],[0,2]]}']) == 0
     capsys.readouterr()
-    assert per_call and all(k == 1 for k in per_call)
+    assert per_call and all(k == 0 for k in per_call)
 
 
 def test_curve_passes(capsys):
@@ -208,3 +211,25 @@ def test_tpn_smooth_flag_is_computed(monkeypatch, capsys):
     main(["tpn", "2", "2"])
     out = capsys.readouterr().out
     assert "[false] hypothesis: smooth" in out
+
+
+def readme_command_lines():
+    """The troprr-verify lines of the README's command-line code block, with
+    backslash continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("troprr-verify")]
+
+
+def test_readme_command_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    lines = readme_command_lines()
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poly.json").write_text(
+        (Path(__file__).parent / "golden" / "plane_d3_polynomial.json").read_text())
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert main(argv[1:]) in (0, 2), line
+    capsys.readouterr()
+    assert json.loads((tmp_path / "cycle.json").read_text())["weights"]

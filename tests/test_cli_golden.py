@@ -28,8 +28,9 @@ CASES = {
     "tpn_3_1": (["tpn", "3", "1"], 2),
     "euler_p3_d1": (["euler", "@p3_d1_polynomial.json"], 0),
     "euler_plane_d3": (["euler", "@plane_d3_polynomial.json"], 0),
-    # Tied heights: two unit squares among the maximal cells (not smooth).
-    "euler_plane_tied": (["euler", "@plane_tied_polynomial.json"], 0),
+    # Tied heights: two unit squares among the maximal cells, so the smooth
+    # flag fails (chi is not the lattice count).
+    "euler_plane_tied": (["euler", "@plane_tied_polynomial.json"], 2),
 }
 
 

@@ -23,7 +23,14 @@ from troprr.hypersurface import (
 )
 from troprr.linalg import is_zero_vec, matrix_rank, primitive, solve_linear, vdot, vsub
 from troprr import polyhedra
-from troprr.polyhedra import LatticePolytope, Polyhedron, standard_simplex, validate_complex
+from troprr.polyhedra import (
+    LatticePolytope,
+    Polyhedron,
+    normalized_volume,
+    polytope_normalized_volume,
+    standard_simplex,
+    validate_complex,
+)
 
 
 def line_poly():
@@ -372,3 +379,57 @@ def test_tied_heights_give_square_cells():
     cells = [exps for exps, _x in regular_subdivision(SQUARES).maximal_cells]
     assert sorted(len(exps) for exps in cells) == [3, 3, 3, 4, 4]
     assert not is_smooth(SQUARES)
+
+
+# -- read off the subdivision, against the computations it replaces ----------
+
+
+def searched_pieces(f, cycle):
+    """Reference Cartier pieces: per weighted cell, the first term in sorted
+    order that is maximal at a relative interior point and dominates every
+    other term on the cell (None where no term does)."""
+    terms = sorted(f.terms.items())
+    pieces = {}
+    for i in sorted(cycle.weights):
+        cell = cycle.complex.cells[i]
+        p = cell.relative_interior_point()
+        vals = [(vdot(e, p) + c, e, c) for e, c in terms]
+        m = max(v for v, _, _ in vals)
+        pieces[i] = next(((e, c) for v, e, c in vals if v == m and all(
+            hypersurface._dominates(e, c, b, cb, cell) for b, cb in terms if b != e)), None)
+    return pieces
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polynomials())
+@example(SQUARES)
+@example(TropicalPolynomial(2, {(0, 0): 0, (2, 0): 0, (0, 2): 0, (1, 1): -5}))
+@example(TropicalPolynomial(3, {p: -(p[0] == 1) for p in itertools.product(
+    range(3), range(2), range(2))}))
+@example(smooth_simplex_polynomial(3, 2))
+def test_subdivision_read_offs_match_the_computations_they_replace(f):
+    assume(newton_polytope(f).dim == f.n)
+    sub = regular_subdivision(f)
+    # Dual cells are irredundant as built.
+    for min_face_dim in (0, 1):
+        for cell in _build_dual_complex(sub, min_face_dim)[0].cells:
+            assert _cell_key(cell) == _cell_key(cell.canonicalize())
+    # Dual-face pieces are the searched ones on every tower layer.
+    for base in (ambient_cycle(f), tropical_hypersurface(f)):
+        for layer in power_tower(f, base).layers:
+            assert cartier_from_polynomial(f, layer).pieces == searched_pieces(f, layer)
+    # A simplex cell's determinant volume is its polytope volume.
+    for exps, _x in sub.maximal_cells:
+        if len(exps) == f.n + 1:
+            assert normalized_volume(sorted(exps)) == polytope_normalized_volume(
+                LatticePolytope(list(exps)))
+
+
+def test_dual_face_pieces_need_the_same_terms():
+    x = tropical_hypersurface(line_poly())
+    # The same terms as a separate polynomial read the dual faces ...
+    same = TropicalPolynomial(2, dict(line_poly().terms))
+    assert cartier_from_polynomial(same, x).pieces == searched_pieces(same, x)
+    # ... other terms on the line's complex are searched for.
+    g = TropicalPolynomial(2, {(1, 0): 5})
+    assert cartier_from_polynomial(g, x).pieces == {i: ((1, 0), 5) for i in x.weights}

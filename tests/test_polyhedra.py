@@ -39,6 +39,7 @@ from troprr.polyhedra import (
     normalized_volume,
     polyhedra_equal,
     polyhedron_from_hrep,
+    polytope_normalized_volume,
     sedentarity,
     standard_simplex,
     validate_complex,
@@ -291,6 +292,20 @@ def test_faces_take_no_h_rep_per_face(monkeypatch):
     calls.clear()
     assert len(cube.faces()) == 27
     assert len(calls) <= 1
+
+
+def test_a_lattice_polytope_converts_v_to_h_once(monkeypatch):
+    calls = []
+    original = polyhedra._hrep_from_vrep
+    monkeypatch.setattr(polyhedra, "_hrep_from_vrep", lambda p: calls.append(p) or original(p))
+    hexagon = LatticePolytope([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1), (1, 1)])
+    assert len(hexagon.faces()) == 13
+    assert len(hexagon.lattice_points()) == 7 and hexagon.interior_lattice_points() == [(1, 1)]
+    assert polytope_normalized_volume(hexagon) == 6
+    assert len(calls) == 1
+    # The canonical polyhedron keeps the H-rep, rows in the original order.
+    square = Polyhedron([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)])
+    assert square.canonicalize().hrep() == square.hrep()
 
 
 def test_polyhedra_equal():
