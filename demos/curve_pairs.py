@@ -36,7 +36,7 @@ def main():
               f"moderate position: {moderate}")
         print(f"  chi(X\\D') - chi(D\\(D' cap D)) = {lhs}")
         print(f"  deg((D'-D).(D'-D-K))/2 + 1     = {rhs}")
-        assert lhs == rhs and moderate
+        assert lhs == rhs and moderate == "true"
         print()
     print("Topology on the left, intersection theory on the right.")
 

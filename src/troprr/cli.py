@@ -153,8 +153,7 @@ def cmd_bertini(args) -> int:
     pair = curve_pair(q1, q2, args.seed, retries=args.retries)
     lhs, rhs = verify_curve_pair(pair)
     report.check("chi_difference_equals_rr", lhs, rhs)
-    report.flag("moderate_position",
-                "true" if curve_pair_moderate(pair) else "false")
+    report.flag("moderate_position", curve_pair_moderate(pair))
     report.flag("smooth", "true")
     return _finish(report, args)
 

@@ -22,6 +22,7 @@ from .linalg import (
 )
 from .polyhedra import (
     PolyhedralComplex,
+    _homogeneous_generators,
     lineality_space,
     local_cone,
 )
@@ -82,17 +83,23 @@ def _normal_vector(complex_: PolyhedralComplex, tau_idx: int, sigma_idx: int):
     """Integer vector in sigma's lattice whose class generates
     (lattice of sigma)/(lattice of tau), pointing from tau into sigma.
 
-    It depends on the geometry only, not on weights, so it is computed once
-    per complex and (tau, sigma) pair and shared by every cycle on it."""
+    It depends on the geometry only, not on weights, so the complex's memo
+    keeps it, at most one vector per pair of its face relation, for every
+    cycle on the complex. It is built from integers alone. Its side is
+    that of the sum over sigma's homogeneous generators g of
+    t0[0]·g[1:] − g[0]·t0[1:], t0 the generator of tau's first vertex;
+    tau is a face of sigma, so a functional vanishing on tau's directions
+    has one sign on every term."""
     key = (tau_idx, sigma_idx)
     v = complex_._normals.get(key)
     if v is None:
         tau = complex_.cells[tau_idx]
         sigma = complex_.cells[sigma_idx]
-        ref = vsub(sigma.relative_interior_point(), tau.relative_interior_point())
-        v = quotient_generator(tau.directions(), sigma.lattice_basis(), ref,
-                               complex_.ambient_dim)
-        complex_._normals[key] = v
+        t0, gens = _homogeneous_generators(tau)[0], _homogeneous_generators(sigma)
+        ref = [sum(t0[0] * g[i] - g[0] * t0[i] for g in gens)
+               for i in range(1, complex_.ambient_dim + 1)]
+        v = complex_._normals[key] = quotient_generator(
+            tau._span_normals(), sigma.lattice_basis(), ref)
     return v
 
 
@@ -104,7 +111,7 @@ def check_balancing(a: TropicalCycle) -> BalancingReport:
         for s in sigmas:
             v, w = _normal_vector(a.complex, tau_idx, s), a.weights[s]
             total = tuple(t + w * x for t, x in zip(total, v))
-        if not is_zero_vec(total) and not in_span(total, tau.directions()):
+        if any(vdot(h, total) for h in tau._span_normals()):
             failures.append(
                 f"balancing fails at cell {tau_idx}: weighted normal sum {total} "
                 f"not in the span of the cell"

@@ -241,7 +241,6 @@ def tropical_hypersurface(f: TropicalPolynomial) -> TropicalCycle:
         weights[index[members]] = gcd_list(vsub(max(members), min(members)))
     cycle = TropicalCycle(complex_, n - 1, weights)
     cycle.subdivision = sub
-    cycle.dual_face_index = index
     return cycle
 
 
@@ -255,7 +254,6 @@ def ambient_cycle(f: TropicalPolynomial) -> TropicalCycle:
     weights = {index[members]: 1 for members, d in faces if d == 0}
     cycle = TropicalCycle(complex_, n, weights)
     cycle.subdivision = sub
-    cycle.dual_face_index = index
     return cycle
 
 

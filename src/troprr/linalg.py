@@ -305,48 +305,36 @@ def in_span(v: Sequence, vectors: Sequence[Sequence]) -> bool:
 
 
 def quotient_generator(
-    tau_span: Sequence[Sequence],
+    tau_normals: Sequence[Sequence[int]],
     sigma_lattice: Sequence[Sequence[int]],
-    reference: Sequence,
-    ambient_dim: int,
+    reference: Sequence[int],
 ) -> IntVec:
     """Primitive generator of (lattice of sigma) / (lattice of tau), oriented
     so it points to the same side of tau as ``reference``.
 
-    tau_span: vectors spanning the direction space of tau (dim one less than
-    sigma). sigma_lattice: integer basis of sigma's saturated direction
-    lattice. reference: any vector in sigma's span not in tau's span.
+    tau_normals: integer vectors spanning the covectors that vanish on tau's
+    direction space (dim one less than sigma's), such as ``_kernel_rows``
+    of tau's directions. sigma_lattice: integer basis of sigma's saturated
+    direction lattice. reference: an integer vector in sigma's span not in
+    tau's span. Nothing here builds a ``Fraction``.
     """
-    tau_vecs = [v for v in tau_span if not is_zero_vec(v)]
-    # Integer functional vanishing on tau, nonzero on sigma. It is a positive
-    # multiple of the matching ``nullspace`` row, and the gcd combination
-    # below does not change when every value is scaled by the same positive
-    # factor, so the result is the one the rational functional gives.
-    if tau_vecs:
-        candidates = _kernel_rows(*_eliminate(tau_vecs), ambient_dim)
-    else:
-        candidates = [tuple(int(i == j) for j in range(ambient_dim))
-                      for i in range(ambient_dim)]
-    ell = None
-    for cand in candidates:
-        if any(vdot(cand, b) != 0 for b in sigma_lattice):
-            ell = cand
-            break
+    # The functional ell is the first normal nonzero on sigma. Each kernel
+    # row is a positive multiple of the matching ``nullspace`` row, and the
+    # gcd combination below does not change when every value is scaled by
+    # the same positive factor, so the result is the one the rational
+    # functional gives.
+    ell = next((c for c in tau_normals if any(vdot(c, b) for b in sigma_lattice)), None)
     if ell is None:
         raise ValueError("sigma does not properly contain tau")
-    # Image ell(sigma lattice) is a subgroup gZ of Z; find a lattice vector
-    # hitting +/- g by the extended euclidean recombination.
+    # Image ell(sigma lattice) is a subgroup gZ of Z, g > 0; the extended
+    # euclidean recombination finds a lattice vector w with ell(w) = g.
     coeffs = _extended_gcd_combo([vdot(ell, b) for b in sigma_lattice])
-    w = tuple(
-        sum(c * b[i] for c, b in zip(coeffs, sigma_lattice)) for i in range(ambient_dim)
-    )
-    val = vdot(ell, w)
+    w = tuple(sum(c * b[i] for c, b in zip(coeffs, sigma_lattice))
+              for i in range(len(reference)))
     ref_val = vdot(ell, reference)
     if ref_val == 0:
         raise ValueError("reference vector lies in tau's span")
-    if (val > 0) != (ref_val > 0):
-        w = tuple(-x for x in w)
-    return w
+    return w if ref_val > 0 else tuple(-x for x in w)
 
 
 def _extended_gcd_combo(values: Sequence[int]) -> list[int]:

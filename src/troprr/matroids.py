@@ -30,6 +30,9 @@ class Matroid:
             if not b <= self.ground:
                 raise ValueError("basis outside the ground set")
         self._basis_masks = None
+        self._ranks: dict[int, int] = {}
+        # beta of the flag minor (M|hi)/lo, keyed by (lo, hi), for csm_cycle.
+        self._flag_betas: dict[tuple[frozenset, frozenset], int] = {}
         if check:
             self._check_exchange()
 
@@ -42,15 +45,20 @@ class Matroid:
 
     def rank(self, subset=None) -> int:
         """The largest intersection of the subset with a basis, counted on
-        bitmasks of the bases (built on the first call)."""
+        bitmasks of the bases (built on the first call). Memoized on the
+        subset's bitmask: at most 2^n <= 2^12 entries, kept as long as the
+        matroid."""
         if subset is None:
             return self.rank_value
-        if self._basis_masks is None:
-            self._basis_masks = [sum(1 << e for e in b) for b in self.bases]
         s = 0
         for e in subset:
             s |= 1 << e
-        return max((b & s).bit_count() for b in self._basis_masks)
+        r = self._ranks.get(s)
+        if r is None:
+            if self._basis_masks is None:
+                self._basis_masks = [sum(1 << e for e in b) for b in self.bases]
+            r = self._ranks[s] = max((b & s).bit_count() for b in self._basis_masks)
+        return r
 
     def is_independent(self, subset) -> bool:
         s = frozenset(subset)
@@ -330,7 +338,8 @@ def flag_minor(m: Matroid, lo, hi) -> Matroid:
 def csm_cycle(m: Matroid, k: int) -> TropicalCycle:
     """Dimension-k CSM cycle of a loopless matroid on the Bergman complex:
     the weight of the cone of a length-k flag F_1 < ... < F_k is
-    (-1)^(r-1-k) * prod beta of the flag minors (M|F_(i+1))/F_i."""
+    (-1)^(r-1-k) * prod beta of the flag minors (M|F_(i+1))/F_i. Each
+    minor's beta is kept on the matroid, so it is computed once for all k."""
     if m.loops():
         raise ValueError("CSM cycles require a loopless matroid")
     r = m.rank_value
@@ -338,14 +347,18 @@ def csm_cycle(m: Matroid, k: int) -> TropicalCycle:
         raise ValueError("k must lie between 0 and rank-1")
     complex_, chains = _shared_bergman_complex(m)
     sign = (-1) ** (r - 1 - k)
+    betas = m._flag_betas
     weights = {}
     for i, c in enumerate(chains):
         if len(c) != k:
             continue
         flag = (frozenset(),) + c + (m.ground,)
         w = 1
-        for lo, hi in zip(flag, flag[1:]):
-            w *= beta(flag_minor(m, lo, hi))
+        for pair in zip(flag, flag[1:]):
+            b = betas.get(pair)
+            if b is None:
+                b = betas[pair] = beta(flag_minor(m, *pair))
+            w *= b
             if w == 0:
                 break
         if w != 0:

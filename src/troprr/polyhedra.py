@@ -23,11 +23,14 @@ from fractions import Fraction
 from .linalg import (
     IntVec,
     Vec,
+    _eliminate,
+    _kernel_rows,
     _scale_to_int,
     det,
     frac,
     gcd_list,
     in_span,
+    integer_kernel,
     is_zero_vec,
     kernel_line,
     lattice_basis_of_span,
@@ -134,6 +137,9 @@ class Polyhedron:
         self.lineality = tuple(sorted(lin))
         self._hrep = None
         self._int_hrep = None
+        self._gens = None
+        self._int_dirs = None
+        self._perp = None
         self._dim = None
         self._lattice = None
 
@@ -147,16 +153,39 @@ class Polyhedron:
         out.extend(tuple(Fraction(c) for c in l) for l in self.lineality)
         return [v for v in out if not is_zero_vec(v)]
 
+    def _integer_directions(self) -> list[IntVec]:
+        """directions() in integers, each vector a positive multiple of the
+        one directions() gives: g0[0]·g[1:] − g[0]·g0[1:] for the
+        homogeneous generator g of each vertex after the first, g0 that of
+        the first, then the rays and the lineality. Built once."""
+        if self._int_dirs is None:
+            gens = _homogeneous_generators(self)
+            g0 = gens[0]
+            self._int_dirs = [
+                tuple(g0[0] * x - g[0] * y for x, y in zip(g[1:], g0[1:]))
+                for g in gens[1:len(self.vertices)]
+            ] + list(self.rays) + list(self.lineality)
+        return self._int_dirs
+
     @property
     def dim(self) -> int:
         if self._dim is None:
-            self._dim = matrix_rank(self.directions())
+            self._dim = matrix_rank(self._integer_directions())
         return self._dim
+
+    def _span_normals(self) -> list[IntVec]:
+        """Primitive integer covectors spanning those that vanish on the
+        direction space: the ``_kernel_rows`` of the integer directions
+        (every unit vector for a point). Built once."""
+        if self._perp is None:
+            self._perp = _kernel_rows(*_eliminate(self._integer_directions()),
+                                      self.ambient_dim)
+        return self._perp
 
     def lattice_basis(self) -> list[IntVec]:
         """Integer basis of the saturated lattice of the direction space."""
         if self._lattice is None:
-            self._lattice = lattice_basis_of_span(self.directions(), self.ambient_dim)
+            self._lattice = integer_kernel(self._span_normals(), self.ambient_dim)
         return self._lattice
 
     def is_cone(self) -> bool:
@@ -256,12 +285,16 @@ class Polyhedron:
 
 def _homogeneous_generators(poly: Polyhedron) -> list[IntVec]:
     """Integer generators of the homogenization cone: a positive multiple of
-    (1, v) per vertex, (0, r) per ray and (0, +-l) per lineality vector."""
-    gens = [primitive((1,) + v) for v in poly.vertices] + [(0,) + r for r in poly.rays]
-    for l in poly.lineality:
-        gens.append((0,) + l)
-        gens.append((0,) + tuple(-c for c in l))
-    return gens
+    (1, v) per vertex, (0, r) per ray and (0, +-l) per lineality vector, in
+    that order. Built once per polyhedron; callers must not change the
+    list."""
+    if poly._gens is None:
+        gens = [primitive((1,) + v) for v in poly.vertices] + [(0,) + r for r in poly.rays]
+        for l in poly.lineality:
+            gens.append((0,) + l)
+            gens.append((0,) + tuple(-c for c in l))
+        poly._gens = gens
+    return poly._gens
 
 
 def _hrep_from_vrep(poly: Polyhedron):
@@ -656,29 +689,77 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
     half again, and both keep the piece's dimension. A piece no hyperplane
     splits lies on one side of each, so it is covered iff one polyhedron
     contains it.
+
+    A piece evaluates each hyperplane h once, as a side mask: 1 if it has a
+    point with h . x < 0, 2 if it has one with h . x > 0. A polyhedron's row
+    on h forbids 1 (h . x >= 0), 2 (h . x <= 0) or both (h . x = 0).
+
+    The half a . x >= 0 of a split, and every piece split from it, keeps a
+    point with a . x > 0. So a polyhedron whose row forbids that side meets
+    it in a lower-dimensional set only: it is dropped from the piece's
+    candidates (a bitmask), and a hyperplane that no candidate has no longer
+    splits. A piece left with no candidate is not covered.
     """
-    rows = [c._integer_hrep() for c in cones]
-    hyperplanes = list(dict.fromkeys(
-        sign_normalize(h) for eqs, ineqs in rows for h in eqs + ineqs))
+    index: dict[IntVec, int] = {}
+    rows = []  # per polyhedron: (hyperplane index, side mask forbidden)
+    # masks[i][0]: the polyhedra with a row on hyperplane i; masks[i][s]:
+    # those whose row forbids side s.
+    masks = []
+    for k, c in enumerate(cones):
+        eqs, ineqs = c._integer_hrep()
+        row = []
+        for j, a in enumerate(eqs + ineqs):
+            h = sign_normalize(a)
+            if h not in index:
+                index[h] = len(masks)
+                masks.append([0, 0, 0])
+            forbid = 3 if j < len(eqs) else 1 if a == h else 2
+            row.append((index[h], forbid))
+            m = masks[index[h]]
+            m[0] |= 1 << k
+            m[1] |= (forbid & 1) << k
+            m[2] |= (forbid >> 1) << k
+        rows.append(row)
+    hyperplanes = list(index)
 
-    def covered(gens, lin) -> bool:
-        return any(all(vdot(e, g) == 0 for e in eqs for g in gens)
-                   and all(vdot(f, g) >= 0 for f in ineqs for g in gens)
-                   and all(vdot(a, l) == 0 for a in eqs + ineqs for l in lin)
-                   for eqs, ineqs in rows)
+    def sides(gens, lin):
+        memo = {}
 
-    def split(gens, zeros, lin, dim, bit) -> bool:
-        for h in hyperplanes:
-            vals = [vdot(h, g) for g in gens]
-            if any(vdot(h, l) for l in lin) or max(vals) > 0 > min(vals):
-                for a in (h, tuple(-x for x in h)):
+        def side(i):
+            s = memo.get(i)
+            if s is None:
+                h = hyperplanes[i]
+                if any(vdot(h, l) for l in lin):
+                    s = 3
+                else:
+                    vals = [vdot(h, g) for g in gens]
+                    s = (min(vals) < 0) | (max(vals) > 0) << 1
+                memo[i] = s
+            return s
+        return side
+
+    def covered(side, cand) -> bool:
+        return any(cand >> k & 1 and all(not side(i) & forbid for i, forbid in row)
+                   for k, row in enumerate(rows))
+
+    def split(gens, zeros, lin, dim, bit, cand, side) -> bool:
+        for i, h in enumerate(hyperplanes):
+            if masks[i][0] & cand and side(i) == 3:
+                for a, s in ((h, 2), (tuple(-x for x in h), 1)):
+                    left = cand & ~masks[i][s]
+                    if not left:
+                        return False
                     half = _halfspace(gens, zeros, lin, dim, a, bit)
-                    if not covered(half[0], half[2]) and not split(*half, bit + 1):
+                    half_side = sides(half[0], half[2])
+                    if not covered(half_side, left) and not split(*half, bit + 1, left,
+                                                                  half_side):
                         return False
                 return True
         return False
 
-    if covered(_homogeneous_generators(p), []):
+    everything = (1 << len(cones)) - 1
+    side = sides(_homogeneous_generators(p), [])
+    if covered(side, everything):
         return True
     # The adjacency test of `_cut` holds only for the extreme generators.
     q = p.canonicalize()
@@ -686,7 +767,7 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
     gens = [primitive((1,) + v) for v in q.vertices] + [(0,) + r for r in q.rays]
     zeros = [sum(1 << i for i, f in enumerate(facets) if vdot(f, g) == 0) for g in gens]
     lin = [(0,) + l for l in q.lineality]
-    return split(gens, zeros, lin, p.dim + 1 - len(lin), len(facets))
+    return split(gens, zeros, lin, p.dim + 1 - len(lin), len(facets), everything, side)
 
 
 def _halfspace(gens, zeros, lin, dim: int, a, bit: int):

@@ -1,18 +1,30 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from test_linalg import oracle_quotient_generator
 from troprr.cycles import (
     CartierFunction,
     TropicalCycle,
+    _normal_vector,
     check_balancing,
     degree,
     divisor_intersect,
     moderate_position,
+    power_tower,
     relatively_uniform,
 )
-from troprr.polyhedra import PolyhedralComplex, Polyhedron, local_cone
+from troprr.hypersurface import (
+    ambient_cycle,
+    is_smooth,
+    polynomial_from_heights,
+    random_smooth_polynomial,
+    tropical_hypersurface,
+)
+from troprr.linalg import lattice_basis_of_span
+from troprr.polyhedra import PolyhedralComplex, Polyhedron, local_cone, standard_simplex
 
 
 def plane_fan_complex():
@@ -194,3 +206,53 @@ def test_relatively_uniform_unsupported_for_nonlinear_ambient():
     # unsupported rather than guessing.
     res = relatively_uniform(y, x)
     assert res.status == "unsupported"
+
+
+# -- integer lattice normals, against the Fraction path they replaced ------------
+
+
+def oracle_normal_vector(c, tau_idx, sigma_idx):
+    """_normal_vector as it was computed in Fraction arithmetic: tau's
+    Fraction directions, sigma's lattice from its Fraction directions, and
+    the difference of the cells' relative-interior points as the side."""
+    tau, sigma = c.cells[tau_idx], c.cells[sigma_idx]
+    ref = tuple(a - b for a, b in zip(sigma.relative_interior_point(),
+                                      tau.relative_interior_point()))
+    lattice = lattice_basis_of_span(sigma.directions(), c.ambient_dim)
+    return oracle_quotient_generator(tau.directions(), lattice, ref, c.ambient_dim)
+
+
+def smooth_polynomial(n, d, seed):
+    """A random smooth polynomial on the lattice points of d * Delta_n:
+    strictly concave heights plus a jitter, drawn again until smooth."""
+    pts = standard_simplex(n, d).lattice_points()
+    if n == 2:
+        return random_smooth_polynomial(pts, seed)
+    rng = random.Random(seed)
+    for _ in range(50):
+        heights = [Fraction(-sum(x * x for x in p)) + Fraction(rng.randint(0, 10 ** 6), 8 * 10 ** 6)
+                   for p in pts]
+        f = polynomial_from_heights(n, pts, heights)
+        if is_smooth(f):
+            return f
+    raise AssertionError("no smooth polynomial drawn")
+
+
+@pytest.mark.parametrize("n,d,seed", [(2, 2, 1), (2, 2, 2), (2, 3, 3), (2, 4, 4),
+                                      (3, 2, 5), (3, 2, 6)])
+def test_memoized_normals_match_fraction_path_on_dual_complexes(n, d, seed):
+    """Every (tau, sigma) pair of both dual complexes of a random smooth
+    polynomial, whose cells have rational vertices, and every pair a layer
+    of its power towers asks for."""
+    f = smooth_polynomial(n, d, seed)
+    checked = 0
+    for base in (ambient_cycle(f), tropical_hypersurface(f)):
+        c = base.complex
+        pairs = set(c.face_relation)
+        for layer in power_tower(f, base).layers:
+            pairs |= {(tau, s) for tau, sigmas in layer.codim1_cells().items() for s in sigmas}
+        for tau_idx, sigma_idx in sorted(pairs):
+            assert _normal_vector(c, tau_idx, sigma_idx) == \
+                oracle_normal_vector(c, tau_idx, sigma_idx), (tau_idx, sigma_idx)
+        checked += len(pairs)
+    assert checked > 0

@@ -1,7 +1,9 @@
 """Euler characteristics of hypersurface complements: power-tower paths,
 compactly supported duals, polygon three-way counts, and curve pairs."""
 
+import dataclasses
 import itertools
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -68,7 +70,18 @@ def test_curve_pair_identity():
     pair = curve_pair(TRIANGLE, CONIC_TRIANGLE, seed=3)
     lhs, rhs = verify_curve_pair(pair)
     assert lhs == rhs == 3
-    assert curve_pair_moderate(pair)
+    assert curve_pair_moderate(pair) == "true"
+
+
+def test_curve_pair_moderate_reports_a_boundary_point_unchecked():
+    """A point in a boundary stratum is not checked, so the status is not
+    "true" even though every checked point passes."""
+    pair = curve_pair(TRIANGLE, CONIC_TRIANGLE, seed=3)
+    assert all(fdim == 2 for fdim, _, _, _ in pair.points)
+    edge = ((0, 0), (1, 0))
+    boundary = dataclasses.replace(pair, points=pair.points + [(1, edge, (Fraction(1, 2),), 1)])
+    assert curve_pair_moderate(boundary) == "unchecked"
+    assert curve_pair_moderate(pair) == "true"
 
 
 def test_curve_complement_counts_points():

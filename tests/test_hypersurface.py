@@ -251,7 +251,7 @@ def test_cycles_of_one_polynomial_share_the_dual_complex(subdivision_calls):
     f = smooth_simplex_polynomial(2, 2)
     x, y = tropical_hypersurface(f), tropical_hypersurface(f)
     assert x is not y and x.complex is y.complex
-    assert x.dual_face_index is y.dual_face_index and x.weights == y.weights
+    assert x.complex.faces is y.complex.faces and x.weights == y.weights
     assert ambient_cycle(f).complex is not x.complex
     assert ambient_cycle(f).complex is ambient_cycle(f).complex
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troprr.linalg import (
+    _eliminate,
     _extended_gcd_combo,
+    _kernel_rows,
     _scale_to_int,
     det,
     in_span,
@@ -81,18 +83,19 @@ def test_lattice_basis_of_span_saturation():
 
 
 def test_quotient_generator_index_two_case():
-    # sigma spanned by (1,1) inside ambient Z^2, tau = origin: the primitive
-    # generator of the quotient is (1,1) itself, oriented by the reference.
-    g = quotient_generator([], [(1, 1)], (2, 2), 2)
+    # sigma spanned by (1,1) inside ambient Z^2, tau = origin (every
+    # covector vanishes on it): the primitive generator of the quotient is
+    # (1,1) itself, oriented by the reference.
+    g = quotient_generator([(1, 0), (0, 1)], [(1, 1)], (2, 2))
     assert g == (1, 1)
-    g = quotient_generator([], [(1, 1)], (-1, -1), 2)
+    g = quotient_generator([(1, 0), (0, 1)], [(1, 1)], (-1, -1))
     assert g == (-1, -1)
 
 
 def test_quotient_generator_modulo_line():
-    # tau = x-axis, sigma = plane Z^2: quotient generated by anything with
-    # second coordinate +-1.
-    g = quotient_generator([(1, 0)], [(1, 0), (0, 1)], (0, 5), 2)
+    # tau = x-axis (normal (0, 1)), sigma = plane Z^2: quotient generated by
+    # anything with second coordinate +-1.
+    g = quotient_generator([(0, 1)], [(1, 0), (0, 1)], (0, 5))
     assert abs(g[1]) == 1 and g[1] > 0
 
 
@@ -265,7 +268,7 @@ def test_quotient_generator_matches_fraction_functional(pair, side):
     n = len(extra)
     lattice = lattice_basis_of_span(sigma, n)
     ref = tuple(side * x for x in extra)
-    got = quotient_generator(tau, lattice, ref, n)
+    got = quotient_generator(_kernel_rows(*_eliminate(tau), n), lattice, ref)
     assert got == oracle_quotient_generator(tau, lattice, ref, n)
     assert in_span(got, sigma) and not in_span(got, tau)
 

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from test_linalg import oracle_quotient_generator
+from test_cycles import oracle_normal_vector
+from test_polyhedra import unpruned_cone_in_union
 from troprr import matroids
 from troprr.cycles import _normal_vector, check_balancing, degree, power_tower
 from troprr.hypersurface import TropicalPolynomial, tropical_hypersurface
@@ -154,11 +156,7 @@ SHARED_IDS = ["U35", "U46", "K4"]
 def test_memoized_normals_match_fraction_quotient_generator(m):
     c, _ = bergman_complex(m)
     for tau_idx, sigma_idx in c.face_relation:
-        tau, sigma = c.cells[tau_idx], c.cells[sigma_idx]
-        ref = tuple(a - b for a, b in zip(sigma.relative_interior_point(),
-                                          tau.relative_interior_point()))
-        expected = oracle_quotient_generator(tau.directions(), sigma.lattice_basis(),
-                                             ref, c.ambient_dim)
+        expected = oracle_normal_vector(c, tau_idx, sigma_idx)
         assert _normal_vector(c, tau_idx, sigma_idx) == expected
         assert _normal_vector(c, tau_idx, sigma_idx) is _normal_vector(c, tau_idx, sigma_idx)
 
@@ -232,9 +230,63 @@ def representable_matroids(count, seed):
 
 
 def test_rank_matches_the_basis_scan():
+    """Every subset is asked twice: once with a cold memo, then, with the
+    memo warm, with its elements in reverse order and as a frozenset."""
     cases = [uniform_matroid(r, n) for n in range(1, 7) for r in range(n + 1)]
     cases += [graphic_matroid(K4_EDGES)] + representable_matroids(25, 5)
     for m in cases:
-        for k in range(m.n + 1):
-            for s in combinations(range(1, m.n + 1), k):
-                assert m.rank(s) == m.rank(frozenset(s)) == scanned_rank(m, s), (m.bases, s)
+        subsets = [s for k in range(m.n + 1) for s in combinations(range(1, m.n + 1), k)]
+        expected = [scanned_rank(m, s) for s in subsets]
+        assert [m.rank(s) for s in subsets] == expected, m.bases
+        assert len(m._ranks) == len(subsets)
+        assert [m.rank(s[::-1]) for s in subsets] == expected, m.bases
+        assert [m.rank(frozenset(s)) for s in subsets] == expected, m.bases
+        assert len(m._ranks) == len(subsets)
+
+
+def test_balancing_a_csm_cycle_builds_no_fraction(monkeypatch):
+    m = uniform_matroid(4, 6)
+    cycle = csm_cycle(m, 2)
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert check_balancing(cycle).ok
+    monkeypatch.undo()
+    assert made == []
+
+
+def test_flag_minor_runs_once_per_pair_across_all_k(monkeypatch):
+    pairs = []
+    original = matroids.flag_minor
+
+    def counting(m, lo, hi):
+        pairs.append((frozenset(lo), frozenset(hi)))
+        return original(m, lo, hi)
+
+    monkeypatch.setattr(matroids, "flag_minor", counting)
+    for m in (uniform_matroid(4, 6), graphic_matroid(K4_EDGES)):
+        pairs.clear()
+        for k in range(m.rank_value):
+            csm_cycle(m, k)
+        assert len(pairs) == len(set(pairs)) > 0
+
+
+def test_pruned_cone_in_union_matches_unpruned_on_random_bergman_fans():
+    """Each maximal cone of one random Bergman fan against the maximal cones
+    of another on the same ground set, of no smaller rank."""
+    fans = [bergman_fan(m) for m in representable_matroids(80, 11) if not m.loops()]
+    pairs = [(a, b) for a in fans for b in fans if a is not b
+             and a.complex.ambient_dim == b.complex.ambient_dim and a.dim <= b.dim][:25]
+    outcomes = set()
+    for a, b in pairs:
+        cones = [b.complex.cells[i] for i in b.weights]
+        for i in a.weights:
+            got = cone_in_union(a.complex.cells[i], cones)
+            assert got == unpruned_cone_in_union(a.complex.cells[i], cones)
+            outcomes.add(got)
+    assert outcomes == {True, False}

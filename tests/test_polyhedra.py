@@ -698,6 +698,41 @@ def splitting_cone_in_union(p, cones):
     return rec(p, 0)
 
 
+def unpruned_cone_in_union(p, cones):
+    """cone_in_union without its candidate pruning: every piece is tested
+    against every polyhedron and split by the first hyperplane of any of
+    them that splits it."""
+    rows = [c._integer_hrep() for c in cones]
+    hyperplanes = list(dict.fromkeys(
+        sign_normalize(h) for eqs, ineqs in rows for h in eqs + ineqs))
+
+    def covered(gens, lin):
+        return any(all(vdot(e, g) == 0 for e in eqs for g in gens)
+                   and all(vdot(f, g) >= 0 for f in ineqs for g in gens)
+                   and all(vdot(a, l) == 0 for a in eqs + ineqs for l in lin)
+                   for eqs, ineqs in rows)
+
+    def split(gens, zeros, lin, dim, bit):
+        for h in hyperplanes:
+            vals = [vdot(h, g) for g in gens]
+            if any(vdot(h, l) for l in lin) or max(vals) > 0 > min(vals):
+                for a in (h, tuple(-x for x in h)):
+                    half = polyhedra._halfspace(gens, zeros, lin, dim, a, bit)
+                    if not covered(half[0], half[2]) and not split(*half, bit + 1):
+                        return False
+                return True
+        return False
+
+    if covered(polyhedra._homogeneous_generators(p), []):
+        return True
+    q = p.canonicalize()
+    facets = p._integer_hrep()[1]
+    gens = [primitive((1,) + v) for v in q.vertices] + [(0,) + r for r in q.rays]
+    zeros = [sum(1 << i for i, f in enumerate(facets) if vdot(f, g) == 0) for g in gens]
+    lin = [(0,) + l for l in q.lineality]
+    return split(gens, zeros, lin, p.dim + 1 - len(lin), len(facets))
+
+
 @st.composite
 def cover_cases(draw):
     """(p, polyhedra) in R^2 or R^3: mostly cones, some with lineality, some
@@ -774,12 +809,14 @@ COVER_EXAMPLES = [
 @given(cover_cases())
 def test_cone_in_union_matches_splitting(case):
     p, cones = case
-    assert cone_in_union(p, cones) == splitting_cone_in_union(p, cones)
+    assert cone_in_union(p, cones) == unpruned_cone_in_union(p, cones) == \
+        splitting_cone_in_union(p, cones)
 
 
 @pytest.mark.parametrize("p,cones,expected", COVER_EXAMPLES)
 def test_cone_in_union_examples(p, cones, expected):
-    assert cone_in_union(p, cones) == splitting_cone_in_union(p, cones) == expected
+    assert cone_in_union(p, cones) == unpruned_cone_in_union(p, cones) == \
+        splitting_cone_in_union(p, cones) == expected
 
 
 def support_identity_cases(r):
@@ -806,7 +843,16 @@ def test_cone_in_union_on_the_rank_3_support_identity():
     cases = support_identity_cases(3)
     assert {e for _, _, e in cases} == {True, False}
     for p, cones, expected in cases:
-        assert cone_in_union(p, cones) == splitting_cone_in_union(p, cones) == expected
+        assert cone_in_union(p, cones) == unpruned_cone_in_union(p, cones) == \
+            splitting_cone_in_union(p, cones) == expected
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_pruned_cone_in_union_matches_unpruned_on_the_support_identity(r):
+    cases = support_identity_cases(r)
+    assert {e for _, _, e in cases} == {True, False}
+    for p, cones, expected in cases:
+        assert cone_in_union(p, cones) == unpruned_cone_in_union(p, cones) == expected
 
 
 def piece_polyhedron(gens, lin):
