@@ -215,11 +215,14 @@ def cmd_euler(args) -> int:
     strata = toric_strata(f)
     a, b = chi_paths_from_strata(strata, f.n)
     report.check("power_tower_paths", a, b)
-    # chi(X \ D) is the lattice count only for smooth f. The flag is listed
-    # only when it fails, so the report of a smooth f keeps its form.
+    # chi(X \ D) is the lattice count only for smooth f. The flag, and for a
+    # smooth f the comparison with the count, are listed only when they
+    # fail, so the report of a smooth f keeps its form.
+    count = len(sub.polytope.lattice_points())
     if not sub.is_smooth():
         report.flag("smooth", "false")
-    count = len(sub.polytope.lattice_points())
+    elif a != count:
+        report.check("chi_equals_lattice_count", a, count)
     rep = jsonio.instance_report(a, b, count,
                                  [f["name"] for f in report.flags])
     print(report.render())

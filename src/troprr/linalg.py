@@ -60,6 +60,8 @@ def gcd_list(xs: Iterable[int]) -> int:
 def _scale_to_int(row: Sequence) -> tuple[list[int], int]:
     """(integer row, factor): the rational row times the lcm of its
     denominators, and that lcm."""
+    if all(type(a) is int for a in row):
+        return list(row), 1
     fr = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
     m = lcm(*(a.denominator for a in fr))
     return [a.numerator * (m // a.denominator) for a in fr], m

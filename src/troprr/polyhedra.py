@@ -5,10 +5,11 @@ sedentarity, and lattice-point enumeration.
 All polyhedra are stored as vertices + rays + lineality generators over exact
 rationals; half-space representations are derived on demand, in primitive
 integer rows, and cached. Containment tests evaluate those integer rows on a
-positive integer multiple of the homogenized point or direction. H->V
-conversion is an integer double description (``_extreme_rays``) of the
-homogenized cone; a pointed polyhedron is canonicalized without it, by the
-rank of the rows tight at each of its generators. ``cone_in_union`` splits
+positive integer multiple of the homogenized point or direction. Both
+conversions are one integer double description (``_extreme_rays``): H->V
+on the homogenized cone, V->H on its dual cone. A pointed polyhedron is
+canonicalized without H->V, by the rank of the rows tight at each of its
+generators. ``cone_in_union`` splits
 its pieces with the same double-description cut (``_cut``), on integer
 generators. Faces are enumerated once, as intersections of facet point sets
 (``_faces_from_facets``), with no H-representation per face.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     IntVec,
@@ -32,7 +34,6 @@ from .linalg import (
     in_span,
     integer_kernel,
     is_zero_vec,
-    kernel_line,
     lattice_basis_of_span,
     matrix_rank,
     nullspace,
@@ -265,16 +266,24 @@ class Polyhedron:
         return poly
 
     def canonical_key(self):
+        """(vertices, rays, lineality lattice basis) of the canonical form.
+        A ray is determined only modulo the lineality, so each is replaced by
+        the primitive form of its projection onto the orthogonal complement
+        of the lineality space."""
         can = self.canonicalize()
-        lin_lattice = lattice_basis_of_span(
-            [tuple(Fraction(c) for c in l) for l in can.lineality], can.ambient_dim
-        ) if can.lineality else []
-        lin_key = tuple(sorted(sign_normalize(b) for b in lin_lattice))
-        # Rays are only canonical modulo lineality; reduce each ray mod the
-        # lineality lattice via projection onto a complement is overkill here:
-        # our constructions never mix rays with lineality in ambiguous ways,
-        # so sorted primitive rays + sorted vertices + lineality lattice work.
-        return (can.vertices, can.rays, lin_key)
+        lin = [tuple(Fraction(c) for c in l) for l in can.lineality]
+        if not lin:
+            return (can.vertices, can.rays, ())
+        lin_key = tuple(sorted(sign_normalize(b)
+                               for b in lattice_basis_of_span(lin, can.ambient_dim)))
+        gram = [[vdot(a, b) for b in lin] for a in lin]
+
+        def reduced(r):
+            c = solve_linear(gram, [vdot(a, r) for a in lin])
+            return primitive(vsub(r, [sum(ci * l[j] for ci, l in zip(c, lin))
+                                      for j in range(can.ambient_dim)]))
+
+        return (can.vertices, tuple(sorted({reduced(r) for r in can.rays})), lin_key)
 
     def __repr__(self):
         return (
@@ -298,59 +307,73 @@ def _homogeneous_generators(poly: Polyhedron) -> list[IntVec]:
 
 
 def _hrep_from_vrep(poly: Polyhedron):
-    """Facet enumeration of the homogenization cone, in integer rows.
+    """Facet enumeration of the homogenization cone, in integer rows, by the
+    double description of its dual cone.
 
-    The equalities span the covectors vanishing on every generator. A facet
-    normal lies in the cone's span and vanishes on d - 1 independent
-    generators, d the span's dimension, so it spans the kernel of those
-    generators stacked on the equalities; it is kept, oriented, if it has one
-    sign on every generator. Subsets are tried in `combinations` order.
+    One elimination of the generators G gives the equalities (its
+    ``_kernel_rows``, the covectors vanishing on every generator) and an
+    integer basis B of span(G), of dimension d. A facet normal lies in
+    span(G), so it is sum(lam_i B_i) for an extreme ray lam of the pointed
+    cone {lam : (B g) . lam >= 0 for every generator g} in Q^d
+    (`_extreme_rays`), and that ray's zero set is the facet's tight
+    generators. For d <= 1 the cone is the ray of its one generator g, and
+    its one inequality is primitive(g).
+
+    The facets come in the order in which trying every (d - 1)-subset of
+    generators in `combinations` order would first find them: sorted by the
+    greedy basis of their tight generators, which is the lexicographically
+    first independent (d - 1)-subset (`_greedy_basis`).
     """
     n = poly.ambient_dim
     gens = _homogeneous_generators(poly)
-    eqs = [primitive(e) for e in nullspace(gens)]
-    d = (n + 1) - len(eqs)
-    ineqs: list[IntVec] = []
-    seen = set()
-    for subset in itertools.combinations(gens, d - 1):
-        nrm = kernel_line(list(subset) + eqs, n + 1)
-        if nrm is None:
-            continue
-        vals = [vdot(nrm, g) for g in gens]
-        if not all(v >= 0 for v in vals):
-            if not all(v <= 0 for v in vals):
-                continue
-            nrm = tuple(-x for x in nrm)
-        if nrm not in seen:
-            seen.add(nrm)
-            ineqs.append(nrm)
-    return eqs, ineqs
+    m, pivots = _eliminate(gens)
+    eqs = _kernel_rows(m, pivots, n + 1)
+    d = len(pivots)
+    if d <= 1:
+        return eqs, [primitive(gens[0])]
+    basis = m[:d]
+    rows = [tuple(vdot(b, g) for b in basis) for g in gens]
+    cols = list(zip(*basis))
+    keyed = []
+    for lam, zeros in zip(*_extreme_rays(rows, d)):
+        tight = [i for i in range(len(rows)) if zeros >> i & 1]
+        if len(tight) > d - 1:
+            tight = [tight[k] for k in _greedy_basis([rows[i] for i in tight])]
+        keyed.append((tight, primitive([vdot(lam, col) for col in cols])))
+    keyed.sort()
+    return eqs, [nrm for _, nrm in keyed]
 
 
-def _extreme_rays(rows, dim: int) -> list[IntVec]:
+def _greedy_basis(vectors) -> list[int]:
+    """Indices of the vectors that are not in the span of the ones before
+    them: the pivot columns of the matrix with these vectors as columns."""
+    return _eliminate(list(zip(*vectors)), jordan=False)[1]
+
+
+def _extreme_rays(rows, dim: int) -> tuple[list[IntVec], list[int]]:
     """Primitive extreme rays of the pointed cone {x : a . x >= 0 for every
-    integer row a}; the rows must have rank dim.
+    integer row a}, each with the bitmask of the rows that vanish on it (bit
+    i for rows[i]); the rows must have rank dim.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start
-    from the simplicial cone of the first dim independent rows, whose rays
-    are kernel lines of dim - 1 of them, and cut by the other rows one at a
-    time (`_cut`).
+    from the simplicial cone of the first dim independent rows A, whose rays
+    are the columns of A^-1 (one elimination of [A | I]), and cut by the
+    other rows one at a time, in order (`_cut`). H->V
+    (`polyhedron_from_hrep`) uses the rays; V->H (`_hrep_from_vrep`) runs it
+    on the dual cone and also reads the masks.
     """
-    basis: list[IntVec] = []
-    rest: list[IntVec] = []
-    for a in rows:
-        if len(basis) < dim and matrix_rank(basis + [a]) > len(basis):
-            basis.append(a)
-        else:
-            rest.append(a)
-    rays, zeros = [], []
-    for i, a in enumerate(basis):
-        r = kernel_line(basis[:i] + basis[i + 1:], dim)
-        rays.append(r if vdot(a, r) > 0 else tuple(-x for x in r))
-        zeros.append(((1 << dim) - 1) ^ (1 << i))
-    for bit, a in enumerate(rest, start=dim):
-        rays, zeros = _cut(rays, zeros, a, bit, dim)
-    return rays
+    basis = _greedy_basis(rows)
+    m, _ = _eliminate([tuple(rows[i]) + tuple(int(j == k) for j in range(dim))
+                       for k, i in enumerate(basis)])
+    scale = lcm(*(row[r] for r, row in enumerate(m)))
+    rays = [primitive([row[dim + k] * (scale // row[r]) for r, row in enumerate(m)])
+            for k in range(dim)]
+    full = sum(1 << i for i in basis)
+    zeros = [full ^ (1 << i) for i in basis]
+    for bit, a in enumerate(rows):
+        if not full >> bit & 1:
+            rays, zeros = _cut(rays, zeros, a, bit, dim)
+    return rays, zeros
 
 
 def _cut(rays, zeros, a, bit: int, dim: int):
@@ -434,7 +457,7 @@ def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedr
     rows = [primitive((-rhs,) + c) for c, rhs in red_ineqs] + [(1,) + (0,) * q]
     verts_s = set()
     rays_s = set()
-    for r in _extreme_rays(rows, q + 1):
+    for r in _extreme_rays(rows, q + 1)[0]:
         if r[0] > 0:
             verts_s.add(tuple(Fraction(c, r[0]) for c in r[1:]))
         else:

@@ -51,7 +51,7 @@ from troprr.toric import ProjectiveSpace, todd_series
 
 SIMPLEX_RANGES = [(1, d) for d in range(1, 7)] + \
                  [(2, d) for d in range(1, 7)] + \
-                 [(3, d) for d in range(1, 4)]
+                 [(3, d) for d in range(1, 6)]
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 

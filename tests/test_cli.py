@@ -129,6 +129,18 @@ def test_euler_passes(capsys):
     assert "chi_c_complement: 0" in capsys.readouterr().out
 
 
+def test_euler_fails_when_the_paths_miss_the_lattice_count(monkeypatch, capsys):
+    # Both power-tower paths one above the count: they agree with each other,
+    # but for a smooth f chi(X \ D) is the lattice count.
+    original = cli.chi_paths_from_strata
+    monkeypatch.setattr(cli, "chi_paths_from_strata",
+                        lambda strata, n: tuple(x + 1 for x in original(strata, n)))
+    assert main(["euler", LINE]) == 1
+    out = capsys.readouterr().out
+    assert "[ok ] power_tower_paths" in out
+    assert "[FAIL] chi_equals_lattice_count" in out
+
+
 def test_bad_json_is_a_hard_error(capsys):
     assert main(["curve", '{"vertices": "two"}']) == 1
     assert "error:" in capsys.readouterr().err
@@ -224,7 +236,7 @@ def readme_command_lines():
 
 def test_readme_command_lines_run_as_written(tmp_path, monkeypatch, capsys):
     lines = readme_command_lines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     monkeypatch.chdir(tmp_path)
     (tmp_path / "poly.json").write_text(
         (Path(__file__).parent / "golden" / "plane_d3_polynomial.json").read_text())

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -379,6 +380,33 @@ def test_tied_heights_give_square_cells():
     cells = [exps for exps, _x in regular_subdivision(SQUARES).maximal_cells]
     assert sorted(len(exps) for exps in cells) == [3, 3, 3, 4, 4]
     assert not is_smooth(SQUARES)
+
+
+def crease(x, d: int) -> int:
+    """The convex crease function of `alcove_heights` on raw coordinates:
+    the sum of |x_i - x_j - k| over 0 <= i < j <= n, with x_0 = 0, and
+    -d < k < d."""
+    full = (0,) + tuple(x)
+    return sum(abs(full[i] - full[j] - k) for i, j in itertools.combinations(range(len(full)), 2)
+               for k in range(-d + 1, d))
+
+
+@pytest.mark.parametrize("d,cells", [(2, 48), (3, 162)])
+def test_alcoved_cube_subdivides_in_seconds(d, cells):
+    """The cube [0, d]^3 with heights -crease(x): 64 lifted points for d = 3,
+    whose V->H once tried all C(65, 4) generator subsets (123.6 s on a
+    2-core box). The double description takes under half a second there;
+    the gate leaves room for a slow box."""
+    pts = list(itertools.product(range(d + 1), repeat=3))
+    f = hypersurface.polynomial_from_heights(3, pts, [Fraction(-crease(p, d)) for p in pts])
+    t0 = time.monotonic()
+    sub = regular_subdivision(f)
+    elapsed = time.monotonic() - t0
+    assert len(sub.maximal_cells) == cells
+    assert all(len(exps) == 4 and normalized_volume(sorted(exps)) == 1
+               for exps, _x in sub.maximal_cells)
+    assert sub.is_smooth()
+    assert elapsed < 10, f"subdividing [0, {d}]^3 took {elapsed:.1f}s"
 
 
 # -- read off the subdivision, against the computations it replaces ----------

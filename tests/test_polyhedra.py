@@ -165,6 +165,26 @@ def test_local_cone_interior_of_maximal_cell_is_tangent_span():
     assert cell.dim == 2 and len(cell.lineality) == 2
 
 
+def test_canonical_key_reduces_rays_modulo_the_lineality():
+    # The half-plane y >= 0: bare, with the redundant row y >= -1, and
+    # spanned by a ray that is not orthogonal to its lineality.
+    bare = polyhedron_from_hrep([], [(0, 0, 1)], 2)
+    padded = polyhedron_from_hrep([], [(0, 0, 1), (1, 0, 1)], 2)
+    slanted = Polyhedron([(0, 0)], rays=[(-3, 1)], lineality=[(1, 0)])
+    assert bare.canonical_key() == padded.canonical_key() == slanted.canonical_key()
+    assert bare.canonical_key() == (((0, 0),), ((0, 1),), ((1, 0),))
+    # A triangle's tangent cone at a point inside its edge from (0, 0) to
+    # (2, 1): the half-plane x - 2y <= 0, with a ray and lineality.
+    triangle = Polyhedron([(0, 0), (2, 1), (0, 2)])
+    fan = local_cone(PolyhedralComplex(2, [triangle], set()), (1, Fraction(1, 2)))
+    assert fan.cells[0].canonical_key() == (((0, 0),), ((-1, 2),), ((2, 1),))
+    # The same in the plane x = z of R^3, where the ray is still the one
+    # orthogonal to the lineality (2, 1, 2).
+    tilted = Polyhedron([(0, 0, 0), (2, 1, 2), (0, 2, 0)])
+    fan = local_cone(PolyhedralComplex(3, [tilted], set()), (1, Fraction(1, 2), 1))
+    assert fan.cells[0].canonical_key() == (((0, 0, 0),), ((-1, 4, -1),), ((2, 1, 2),))
+
+
 def test_lineality_space_examples():
     # 3-ray fan: trivial lineality.
     fan = local_cone(tropical_line_complex(), (0, 0))
@@ -424,6 +444,84 @@ def test_containment_matches_fraction_evaluation(p, data):
     assert all(p.contains_direction(r) for r in p.rays)
 
 
+# -- V->H by double description, against the subset enumeration it replaced ---
+
+
+def enumerating_hrep(p):
+    """Reference V->H: the kernel line of every (d - 1)-subset of the
+    homogeneous generators, stacked on the equalities, in `combinations`
+    order, kept at its first occurrence when it has one sign on every
+    generator (d the dimension of their span)."""
+    n = p.ambient_dim
+    gens = polyhedra._homogeneous_generators(p)
+    eqs = [primitive(e) for e in nullspace(gens)]
+    d = n + 1 - len(eqs)
+    ineqs = []
+    for subset in itertools.combinations(gens, d - 1):
+        nrm = kernel_line(list(subset) + eqs, n + 1)
+        if nrm is None:
+            continue
+        vals = [vdot(nrm, g) for g in gens]
+        if not all(v >= 0 for v in vals):
+            if not all(v <= 0 for v in vals):
+                continue
+            nrm = tuple(-x for x in nrm)
+        if nrm not in ineqs:
+            ineqs.append(nrm)
+    return eqs, ineqs
+
+
+@st.composite
+def vrep_cases(draw):
+    """Polyhedra in R^1..R^4: points, segments and polytopes spanning an
+    affine subspace (so with equalities), with rational vertices and
+    sometimes a redundant midpoint; the same with rays and lineality, where
+    a lineality vector may repeat a ray (a duplicate generator); and lifted
+    polytopes conv{(a, c_a)} + cone{-e_(n+1)} of random polynomials in
+    n = 1..3 variables."""
+    kind = draw(st.sampled_from(("polytope", "unbounded", "lifted")))
+    if kind == "lifted":
+        n = draw(st.integers(1, 3))
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=9,
+                             unique=True))
+        heights = draw(st.lists(st.integers(-1, 1), min_size=len(exps), max_size=len(exps)))
+        return Polyhedron([e + (c,) for e, c in zip(exps, heights)], rays=[(0,) * n + (-1,)])
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    base = draw(points(n))
+    dirs = draw(st.lists(directions(n), min_size=k, max_size=k))
+    coeffs = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                      min_size=k, max_size=k)
+    verts = [tuple(b + sum(c * dv[i] for c, dv in zip(cs, dirs)) for i, b in enumerate(base))
+             for cs in draw(st.lists(coeffs, min_size=1, max_size=5))]
+    if draw(st.booleans()):
+        verts.append(tuple((Fraction(a) + b) / 2 for a, b in zip(verts[0], verts[-1])))
+    if kind == "polytope":
+        return Polyhedron(verts)
+    rays = draw(st.lists(directions(n), max_size=3))
+    lineality = draw(st.lists(directions(n), max_size=2))
+    if rays and draw(st.booleans()):
+        lineality.append(rays[0])
+    return Polyhedron(verts, rays, lineality)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vrep_cases())
+@example(Polyhedron([(Fraction(1, 2), Fraction(-1, 3))]))
+@example(Polyhedron([(0, 0, 1), (1, 1, 1)]))
+@example(Polyhedron([(0, 0), (1, 0), (2, 0)]))
+@example(Polyhedron([(0, 0)], rays=[(1, 0), (0, 1)], lineality=[(1, 0)]))
+# facets whose first d - 1 tight generators are dependent (collinear points)
+@example(Polyhedron([(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 2, 0), (1, 0, 1),
+                     (1, 2, 0), (2, 1, 1)]))
+@example(Polyhedron([(0, 0, 0, 0)], rays=[(1, 0, 0, 0)], lineality=[(0, 1, 0, 0), (0, 0, 1, 1)]))
+@example(Polyhedron([p + (c,) for p, c in smooth_simplex_polynomial(3, 2).terms.items()],
+                    rays=[(0, 0, 0, -1)]))
+def test_hrep_matches_subset_enumeration(p):
+    eqs, ineqs = enumerating_hrep(p)
+    assert p.hrep() == (eqs, ineqs)
+
+
 _K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 FACE_INDEX_CASES = {
     "U35": lambda: bergman_complex(uniform_matroid(3, 5))[0],
@@ -639,8 +737,9 @@ def homogenized_facets(points):
     ([(0, 1), (1, 0), (-1, -1)], 2, 0),
 ])
 def test_extreme_ray_counts(rows, dim, count):
-    rays = polyhedra._extreme_rays(rows, dim)
+    rays, zeros = polyhedra._extreme_rays(rows, dim)
     assert len(rays) == len(set(rays)) == count
+    assert zeros == [sum(1 << i for i, a in enumerate(rows) if vdot(a, r) == 0) for r in rays]
     assert set(rays) == enumerated_extreme_rays(rows, dim)
     assert all(gcd_list(r) == 1 for r in rays)
 
@@ -654,9 +753,10 @@ def test_extreme_rays_match_enumeration(case):
     rows = [r for r in rows if any(r)]
     if matrix_rank(rows) < dim:
         rows += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays = polyhedra._extreme_rays(rows, dim)
+    rays, zeros = polyhedra._extreme_rays(rows, dim)
     assert len(rays) == len(set(rays))
     assert set(rays) == enumerated_extreme_rays(rows, dim)
+    assert zeros == [sum(1 << i for i, a in enumerate(rows) if vdot(a, r) == 0) for r in rays]
 
 
 # -- cone_in_union by double-description cuts, against the splitting it replaced
