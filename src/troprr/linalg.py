@@ -192,15 +192,6 @@ def _kernel_rows(m: list[list[int]], pivots: list[int], ncols: int) -> list[IntV
     return out
 
 
-def kernel_line(rows: Sequence[Sequence], ncols: int) -> IntVec | None:
-    """Primitive integer generator of {x in Q^ncols : A x = 0} when that
-    kernel is a line (A has rank ncols - 1), else None."""
-    m, pivots = _eliminate(rows)
-    if len(pivots) != ncols - 1:
-        return None
-    return _kernel_rows(m, pivots, ncols)[0]
-
-
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix: Bareiss fraction-free elimination on
     the rows scaled to integers, divided by the product of the scale factors."""

@@ -7,12 +7,13 @@ rationals; half-space representations are derived on demand, in primitive
 integer rows, and cached. Containment tests evaluate those integer rows on a
 positive integer multiple of the homogenized point or direction. Both
 conversions are one integer double description (``_extreme_rays``): H->V
-on the homogenized cone, V->H on its dual cone. A pointed polyhedron is
-canonicalized without H->V, by the rank of the rows tight at each of its
-generators. ``cone_in_union`` splits
-its pieces with the same double-description cut (``_cut``), on integer
-generators. Faces are enumerated once, as intersections of facet point sets
-(``_faces_from_facets``), with no H-representation per face.
+on the homogenized cone with its lineality turned into equalities, so that
+the vertices and rays it returns are orthogonal to the lineality, and V->H
+on the dual cone. A pointed polyhedron is canonicalized without H->V, by
+the rank of the rows tight at each of its generators. ``cone_in_union``
+splits its pieces with the same double-description cut (``_cut``), on
+integer generators. Faces are enumerated once, as intersections of facet
+point sets (``_faces_from_facets``), with no H-representation per face.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ from .linalg import (
     is_zero_vec,
     lattice_basis_of_span,
     matrix_rank,
-    nullspace,
     primitive,
     sign_normalize,
-    solve_linear,
     vadd,
     vdot,
     vscale,
@@ -108,10 +107,6 @@ def _homogenized(lead: int, p) -> IntVec:
     if not isinstance(p, RationalPoint) and all(type(c) is int for c in p):
         return (lead,) + tuple(p)
     return tuple(_scale_to_int((lead,) + _as_vec(p))[0])
-
-
-def _unit_vectors(k: int) -> list[Vec]:
-    return [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
 
 
 class Polyhedron:
@@ -259,31 +254,17 @@ class Polyhedron:
                               [r for r in self.rays if extreme((0,) + r)])
             poly._hrep, poly._int_hrep = self._hrep, self._int_hrep
             return poly
-        eqs, ineqs = self.hrep()
-        poly = polyhedron_from_hrep(eqs, ineqs, self.ambient_dim)
+        poly = polyhedron_from_hrep(eqs, ineqs, n)
         if poly is None:
             raise ValueError("canonicalization emptied a nonempty polyhedron")
         return poly
 
     def canonical_key(self):
-        """(vertices, rays, lineality lattice basis) of the canonical form.
-        A ray is determined only modulo the lineality, so each is replaced by
-        the primitive form of its projection onto the orthogonal complement
-        of the lineality space."""
+        """(vertices, rays, lineality) of the canonical form. With lineality
+        these come from H->V, whose vertices and rays are orthogonal to the
+        lineality and whose lineality basis depends on the space alone."""
         can = self.canonicalize()
-        lin = [tuple(Fraction(c) for c in l) for l in can.lineality]
-        if not lin:
-            return (can.vertices, can.rays, ())
-        lin_key = tuple(sorted(sign_normalize(b)
-                               for b in lattice_basis_of_span(lin, can.ambient_dim)))
-        gram = [[vdot(a, b) for b in lin] for a in lin]
-
-        def reduced(r):
-            c = solve_linear(gram, [vdot(a, r) for a in lin])
-            return primitive(vsub(r, [sum(ci * l[j] for ci, l in zip(c, lin))
-                                      for j in range(can.ambient_dim)]))
-
-        return (can.vertices, tuple(sorted({reduced(r) for r in can.rays})), lin_key)
+        return (can.vertices, can.rays, can.lineality)
 
     def __repr__(self):
         return (
@@ -359,8 +340,10 @@ def _extreme_rays(rows, dim: int) -> tuple[list[IntVec], list[int]]:
     from the simplicial cone of the first dim independent rows A, whose rays
     are the columns of A^-1 (one elimination of [A | I]), and cut by the
     other rows one at a time, in order (`_cut`). H->V
-    (`polyhedron_from_hrep`) uses the rays; V->H (`_hrep_from_vrep`) runs it
-    on the dual cone and also reads the masks.
+    (`polyhedron_from_hrep`) runs it on the homogenized cone with the
+    lineality added as equalities (a row and its negative), so the cone is
+    pointed and its rays are orthogonal to the lineality; V->H
+    (`_hrep_from_vrep`) runs it on the dual cone and also reads the masks.
     """
     basis = _greedy_basis(rows)
     m, _ = _eliminate([tuple(rows[i]) + tuple(int(j == k) for j in range(dim))
@@ -402,90 +385,34 @@ def _cut(rays, zeros, a, bit: int, dim: int):
 
 
 def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedron | None:
-    """Vertex/ray/lineality enumeration for a homogeneous-coordinate H-rep.
+    """Vertex/ray/lineality enumeration for a homogeneous-coordinate H-rep,
+    or None for an empty polyhedron.
 
-    Returns None for an empty polyhedron.
+    The homogenized cone {(lam, x) : lam >= 0, e . (lam, x) = 0,
+    f . (lam, x) >= 0} has the lineality L, the kernel of all rows and lam.
+    With L added to the equalities the cone is pointed and its rows have rank
+    n + 1, so one ``_extreme_rays`` call gives its rays: lam > 0 is a vertex,
+    lam = 0 a ray. The vertices and rays are those of the polyhedron's
+    section orthogonal to its lineality, a representative that does not
+    depend on the presentation of the rows.
     """
-    eqs = [tuple(frac(c) for c in e) for e in equalities]
-    ineqs = [tuple(frac(c) for c in f) for f in inequalities]
     n = ambient_dim
-    # Solve the affine equalities: e0 + e . x = 0.
-    if eqs:
-        a_rows = [e[1:] for e in eqs]
-        b = [-e[0] for e in eqs]
-        p0 = solve_linear(a_rows, b)
-        if p0 is None:
-            return None
-        null = nullspace(a_rows)
-    else:
-        p0 = tuple(Fraction(0) for _ in range(n))
-        null = _unit_vectors(n)
-    k = len(null)
-    if k == 0:
-        hx = (Fraction(1),) + tuple(p0)
-        if all(vdot(f, hx) >= 0 for f in ineqs):
-            return Polyhedron([p0])
+    lam = (1,) + (0,) * n
+    eqs = [primitive(e) for e in equalities if any(e)]
+    ineqs = [primitive(f) for f in inequalities if any(f)]
+    lin = _kernel_rows(*_eliminate(eqs + ineqs + [lam]), n + 1)
+    eqs += lin
+    rays = _extreme_rays([lam] + eqs + ineqs + [tuple(-c for c in e) for e in eqs], n + 1)[0]
+    verts = [tuple(Fraction(c, r[0]) for c in r[1:]) for r in rays if r[0]]
+    if not verts:
         return None
-    # Substitute x = p0 + N t. Inequality f0 + f.x >= 0 becomes
-    # (f.N) t >= -(f0 + f.p0).
-    t_ineqs = []
-    for f in ineqs:
-        fx = f[1:]
-        coeffs = tuple(vdot(fx, nv) for nv in null)
-        rhs = -(f[0] + vdot(fx, p0))
-        t_ineqs.append((coeffs, rhs))
-    # Lineality in t-space.
-    normals = [c for c, _ in t_ineqs if not is_zero_vec(c)]
-    lin_t = nullspace(normals) if normals else _unit_vectors(k)
-    # Feasibility of zero-coefficient inequalities.
-    for c, rhs in t_ineqs:
-        if is_zero_vec(c) and rhs > 0:
-            return None
-    t_ineqs = [(c, rhs) for c, rhs in t_ineqs if not is_zero_vec(c)]
-    # Reduce modulo lineality: complement coordinates.
-    comp = nullspace(lin_t) if lin_t else _unit_vectors(k)
-    q = len(comp)
-    # Write t = C^T s + lineality component where rows of C span the complement;
-    # since inequalities vanish on lineality, they only constrain s via
-    # c . t = c . C^T s.
-    red_ineqs = []
-    for c, rhs in t_ineqs:
-        red = tuple(vdot(c, cv) for cv in comp)
-        red_ineqs.append((red, rhs))
-    # Extreme rays of the homogenized cone {(lam, s) : c.s >= rhs lam, lam >= 0},
-    # which is pointed because the reduced rows have rank q.
-    rows = [primitive((-rhs,) + c) for c, rhs in red_ineqs] + [(1,) + (0,) * q]
-    verts_s = set()
-    rays_s = set()
-    for r in _extreme_rays(rows, q + 1)[0]:
-        if r[0] > 0:
-            verts_s.add(tuple(Fraction(c, r[0]) for c in r[1:]))
-        else:
-            rays_s.add(r[1:])
-    if not verts_s:
-        return None
-    # Map back: t = C^T s, the substitution the reduced inequalities assume.
-    def s_to_t(s):
-        return tuple(sum(si * cv[j] for si, cv in zip(s, comp)) for j in range(k))
-
-    def t_to_x(t, homogeneous: bool):
-        x = tuple(sum(t[i] * null[i][j] for i in range(k)) for j in range(n))
-        if not homogeneous:
-            x = vadd(x, p0)
-        return x
-
-    verts = [t_to_x(s_to_t(s), False) for s in sorted(verts_s)]
-    rays = [t_to_x(s_to_t(r), True) for r in sorted(rays_s)]
-    lin = [t_to_x(lv, True) for lv in lin_t]
-    rays = [primitive(r) for r in rays if not is_zero_vec(r)]
-    lin = [primitive(l) for l in lin if not is_zero_vec(l)]
-    return Polyhedron(verts, rays, lin)
+    return Polyhedron(verts, [r[1:] for r in rays if not r[0]], [l[1:] for l in lin])
 
 
 def intersect_polyhedra(p: Polyhedron, q: Polyhedron) -> Polyhedron | None:
-    peq, pineq = p.hrep()
-    qeq, qineq = q.hrep()
-    return polyhedron_from_hrep(list(peq) + list(qeq), list(pineq) + list(qineq), p.ambient_dim)
+    peq, pineq = p._integer_hrep()
+    qeq, qineq = q._integer_hrep()
+    return polyhedron_from_hrep(peq + qeq, pineq + qineq, p.ambient_dim)
 
 
 def polyhedra_equal(p: Polyhedron, q: Polyhedron) -> bool:
@@ -586,12 +513,11 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             violations.append(f"face relation ({a},{b}): face not contained in cofacet")
     # Geometric facets of each cell must be cells of the complex.
     for i, cell in enumerate(c.cells):
-        eqs, ineqs = cell.hrep()
-        listed = {tuple(sorted(c.cells[j].vertices)) for j in c.facets_of(i)}
+        eqs, ineqs = cell._integer_hrep()
         for f in ineqs:
-            if is_zero_vec(f[1:]):
+            if not any(f[1:]):
                 continue
-            face = polyhedron_from_hrep(list(eqs) + [f, tuple(-x for x in f)], list(ineqs), c.ambient_dim)
+            face = polyhedron_from_hrep(eqs + [f], ineqs, c.ambient_dim)
             if face is None or face.dim != cell.dim - 1:
                 continue
             found = any(
@@ -652,17 +578,11 @@ def lineality_space(fan: PolyhedralComplex) -> list[IntVec]:
         return []
     n = fan.ambient_dim
     # Start from the intersection of the cells' own lineality spaces.
-    current: list | None = None
-    for i in maxcells:
-        lin = [tuple(Fraction(c) for c in l) for l in fan.cells[i].lineality]
-        if current is None:
-            current = lin
-        else:
-            current = _intersect_subspaces(current, lin, n)
+    current = list(fan.cells[maxcells[0]].lineality)
+    for i in maxcells[1:]:
         if not current:
-            current = []
             break
-    current = current or []
+        current = _intersect_subspaces(current, fan.cells[i].lineality, n)
     # Try to extend by support-contained lines.
     candidate_rays = set()
     for i in maxcells:
@@ -672,10 +592,9 @@ def lineality_space(fan: PolyhedralComplex) -> list[IntVec]:
     while changed:
         changed = False
         for r in sorted(candidate_rays):
-            rv = tuple(Fraction(c) for c in r)
-            if in_span(rv, current):
+            if in_span(r, current):
                 continue
-            neg = tuple(-c for c in rv)
+            neg = tuple(-c for c in r)
             if not any(fan.cells[i].contains_direction(neg) for i in maxcells):
                 continue
             # Accept r only if every maximal cone, translated along the line,
@@ -692,7 +611,7 @@ def lineality_space(fan: PolyhedralComplex) -> list[IntVec]:
                     ok = False
                     break
             if ok:
-                current = current + [rv]
+                current = current + [r]
                 changed = True
     if not current:
         return []
@@ -817,15 +736,12 @@ def _halfspace(gens, zeros, lin, dim: int, a, bit: int):
 
 
 def _intersect_subspaces(a, b, n):
-    """Intersection of two subspaces given by spanning sets."""
+    """Integer spanning set of the intersection of two subspaces given by
+    integer spanning sets: the kernel of both sets' stacked normals."""
     if not a or not b:
         return []
-    na = nullspace(a)
-    nb = nullspace(b)
-    rows = list(na) + list(nb)
-    if not rows:
-        return _unit_vectors(n)
-    return nullspace(rows)
+    normals = _kernel_rows(*_eliminate(a), n) + _kernel_rows(*_eliminate(b), n)
+    return _kernel_rows(*_eliminate(normals), n)
 
 
 # -- lattice polytopes --------------------------------------------------------

@@ -31,6 +31,13 @@ CASES = {
     # Tied heights: two unit squares among the maximal cells, so the smooth
     # flag fails (chi is not the lattice count).
     "euler_plane_tied": (["euler", "@plane_tied_polynomial.json"], 2),
+    # The remaining README lines; tpn_2_3 reaches H->V through local_cone.
+    "tpn_2_3": (["tpn", "2", "3"], 0),
+    "surface_rectangle": (["surface", '{"vertices": [[0,0],[2,0],[2,1],[0,1]]}'], 0),
+    "bertini_seed3": (["--seed", "3", "bertini", '{"vertices": [[0,0],[1,0],[0,1]]}',
+                       '{"vertices": [[0,0],[2,0],[0,2]]}'], 0),
+    "curve_banana": (["curve", '{"vertices": 2, "edges": [[0,1],[0,1],[0,1]], '
+                               '"divisor": {"0": 3}}'], 0),
 }
 
 

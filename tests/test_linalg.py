@@ -12,7 +12,6 @@ from troprr.linalg import (
     det,
     in_span,
     integer_kernel,
-    kernel_line,
     lattice_basis_of_span,
     matrix_rank,
     nullspace,
@@ -216,18 +215,6 @@ def test_solve_linear_inconsistent_and_empty():
 def test_det_matches_leibniz_expansion(rows):
     got = det(rows)
     assert type(got) is Fraction and got == oracle_det(rows)
-
-
-@given(rational_matrices(min_rows=0), st.integers(1, 5))
-def test_kernel_line_is_the_primitive_kernel_generator(rows, ncols):
-    rows = [(list(row) + [0] * ncols)[:ncols] for row in rows]
-    v = kernel_line(rows, ncols)
-    if ncols - len(oracle_rref(rows)[1]) != 1:
-        assert v is None
-        return
-    assert v is not None and any(v)
-    assert all(vdot(row, v) == 0 for row in rows)
-    assert primitive(v) == v
 
 
 def oracle_quotient_generator(tau_span, sigma_lattice, reference, ambient_dim):

@@ -13,13 +13,15 @@ from troprr.hypersurface import (
 )
 from troprr import polyhedra
 from troprr.linalg import (
+    _eliminate,
+    _kernel_rows,
     gcd_list,
     in_span,
     is_zero_vec,
-    kernel_line,
     matrix_rank,
     nullspace,
     primitive,
+    rref,
     sign_normalize,
     solve_linear,
     vadd,
@@ -447,6 +449,28 @@ def test_containment_matches_fraction_evaluation(p, data):
 # -- V->H by double description, against the subset enumeration it replaced ---
 
 
+def kernel_line(rows, ncols):
+    """Primitive integer generator of {x in Q^ncols : A x = 0} when that
+    kernel is a line (A has rank ncols - 1), else None."""
+    m, pivots = _eliminate(rows)
+    if len(pivots) != ncols - 1:
+        return None
+    return _kernel_rows(m, pivots, ncols)[0]
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(coords, min_size=n, max_size=n), max_size=5), st.just(n))))
+def test_kernel_line_is_the_primitive_kernel_generator(case):
+    rows, ncols = case
+    v = kernel_line(rows, ncols)
+    if ncols - matrix_rank(rows) != 1:
+        assert v is None
+        return
+    assert v is not None and any(v)
+    assert all(vdot(row, v) == 0 for row in rows)
+    assert primitive(v) == v
+
+
 def enumerating_hrep(p):
     """Reference V->H: the kernel line of every (d - 1)-subset of the
     homogeneous generators, stacked on the equalities, in `combinations`
@@ -614,6 +638,23 @@ def generators(p):
     return None if p is None else (p.vertices, p.rays, p.lineality)
 
 
+def modulo_lineality(p):
+    """generators(p) with each vertex and ray projected, in Fraction
+    arithmetic, onto the orthogonal complement of the lineality, and the
+    lineality as the RREF of its span. Pointed polyhedra are unchanged."""
+    if p is None or not p.lineality:
+        return generators(p)
+    lin = [tuple(Fraction(c) for c in l) for l in p.lineality]
+    gram = [[vdot(a, b) for b in lin] for a in lin]
+
+    def project(x):
+        c = solve_linear(gram, [vdot(a, x) for a in lin])
+        return tuple(xj - sum(ci * l[j] for ci, l in zip(c, lin)) for j, xj in enumerate(x))
+
+    q = Polyhedron([project(v) for v in p.vertices], [project(r) for r in p.rays])
+    return (q.vertices, q.rays, rref(lin)[0])
+
+
 def rows_of(n):
     return st.lists(coords, min_size=n + 1, max_size=n + 1).map(tuple)
 
@@ -654,9 +695,44 @@ def random_hreps(draw):
 @example(([], [(1, 1, 1, 0), (1, -1, -1, 0)], 3))
 @example(([], [(Fraction(1, 2), 1, Fraction(-1, 3))], 2))
 def test_double_description_matches_subset_enumeration(hrep):
+    """Pointed results match exactly. With lineality, the double description
+    returns the representatives orthogonal to it, so the reference's
+    generators are projected there first."""
     eqs, ineqs, n = hrep
-    assert generators(polyhedron_from_hrep(eqs, ineqs, n)) == generators(
-        enumerating_from_hrep(eqs, ineqs, n))
+    got = polyhedron_from_hrep(eqs, ineqs, n)
+    want = modulo_lineality(enumerating_from_hrep(eqs, ineqs, n))
+    if got is not None and got.lineality:
+        got = (got.vertices, got.rays, rref(got.lineality)[0])
+    else:
+        got = generators(got)
+    assert got == want
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_from_hrep_does_not_depend_on_the_presentation(bounded):
+    """The strip 0 <= x - y <= 1 (or the half-plane x - y >= 0) in the plane
+    x + y + z = 1 of R^3, with lineality (1, 1, -2): with redundant rows,
+    with its rows combined with the equality and scaled by rationals, and
+    with the equality as two opposite inequalities. All give the
+    representatives orthogonal to the lineality."""
+    plane = (-1, 1, 1, 1)
+    upper = [(1, -1, 1, 0)] if bounded else []
+    redundant = polyhedron_from_hrep([plane, (-2, 2, 2, 2)],
+                                     [(0, 1, -1, 0), (1, 1, -1, 0)] + upper * 2, 3)
+    # x - y >= 0 plus half the equality; 1 - x + y >= 0 plus five times it.
+    half = Fraction(1, 2)
+    combined = polyhedron_from_hrep([tuple(Fraction(2, 3) * c for c in plane)],
+                                    [(-half, 3 * half, -half, half)]
+                                    + ([(-4, 4, 6, 5)] if bounded else []), 3)
+    implicit = polyhedron_from_hrep([], [plane, tuple(-c for c in plane), (0, 1, -1, 0)]
+                                    + upper, 3)
+    assert generators(redundant) == generators(combined) == generators(implicit)
+    assert redundant.lineality == ((1, 1, -2),)
+    assert redundant.vertices == ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),) + (
+        ((Fraction(5, 6), Fraction(-1, 6), Fraction(1, 3)),) if bounded else ())
+    assert redundant.rays == (() if bounded else ((1, -1, 0),))
+    for x in redundant.vertices + redundant.rays:
+        assert vdot(x, redundant.lineality[0]) == 0
 
 
 @st.composite
