@@ -9,16 +9,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (
+    IntVec,
+    _eliminate,
+    _kernel_rows,
     det,
+    gcd_list,
     in_span,
-    is_zero_vec,
     primitive,
     quotient_generator,
-    solve_linear,
-    vadd,
     vdot,
-    vscale,
-    vsub,
 )
 from .polyhedra import (
     PolyhedralComplex,
@@ -138,26 +137,15 @@ class CartierFunction:
             self._check_continuity()
 
     def _check_continuity(self):
-        complex_ = self.cycle.complex
-        by_facet: dict[int, list[int]] = {}
-        for i in self.cycle.weights:
-            for tau in complex_.facets_of(i):
-                by_facet.setdefault(tau, []).append(i)
-        for tau_idx, sigmas in by_facet.items():
-            tau = complex_.cells[tau_idx]
+        for tau_idx, sigmas in self.cycle.codim1_cells().items():
+            tau = self.cycle.complex.cells[tau_idx]
             for s1, s2 in itertools.combinations(sigmas, 2):
-                l1, c1 = self.pieces[s1]
-                l2, c2 = self.pieces[s2]
-                for v in tau.vertices:
-                    if vdot(l1, v) + c1 != vdot(l2, v) + c2:
-                        raise ValueError(
-                            f"affine pieces of cells {s1},{s2} disagree on face {tau_idx}"
-                        )
-                for d in list(tau.rays) + list(tau.lineality):
-                    if vdot(l1, d) != vdot(l2, d):
-                        raise ValueError(
-                            f"affine pieces of cells {s1},{s2} disagree on face {tau_idx}"
-                        )
+                (l1, c1), (l2, c2) = self.pieces[s1], self.pieces[s2]
+                if any(vdot(l1, v) + c1 != vdot(l2, v) + c2 for v in tau.vertices) or any(
+                        vdot(l1, d) != vdot(l2, d) for d in tau.rays + tau.lineality):
+                    raise ValueError(
+                        f"affine pieces of cells {s1},{s2} disagree on face {tau_idx}"
+                    )
 
     def linear_on_face(self, tau_idx: int, adjacent_sigma: int):
         """Linear part valid on the face tau (restriction of any adjacent
@@ -177,20 +165,15 @@ def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> T
         return TropicalCycle(complex_, max(a.dim - 1, 0), {})
     new_weights: dict[int, int] = {}
     for tau_idx, sigmas in a.codim1_cells().items():
-        tau = complex_.cells[tau_idx]
-        total = tuple(Fraction(0) for _ in range(complex_.ambient_dim))
-        weight = Fraction(0)
+        total = (0,) * complex_.ambient_dim
+        weight = 0
         for s in sigmas:
-            v = _normal_vector(complex_, tau_idx, s)
-            lin_s = phi.pieces[s][0]
-            weight += a.weights[s] * vdot(lin_s, v)
-            total = vadd(total, vscale(a.weights[s], v))
-        lin_tau = phi.linear_on_face(tau_idx, sigmas[0])
-        weight -= vdot(lin_tau, total)
-        if weight != 0:
-            if weight.denominator != 1:
-                raise ValueError("non-integer corner-locus weight; non-integral data")
-            new_weights[tau_idx] = int(weight)
+            v, w = _normal_vector(complex_, tau_idx, s), a.weights[s]
+            weight += w * vdot(phi.pieces[s][0], v)
+            total = tuple(t + w * x for t, x in zip(total, v))
+        weight -= vdot(phi.linear_on_face(tau_idx, sigmas[0]), total)
+        if weight:
+            new_weights[tau_idx] = weight
     return TropicalCycle(complex_, a.dim - 1, new_weights)
 
 
@@ -243,9 +226,7 @@ def moderate_position(pairs) -> PositionReport:
     for idx, (y_fan, x_fan) in enumerate(pairs):
         ly = lineality_space(y_fan)
         lx = lineality_space(x_fan)
-        lx_vecs = [tuple(Fraction(c) for c in b) for b in lx]
-        contained = all(in_span(tuple(Fraction(c) for c in b), lx_vecs) for b in ly)
-        if not contained or len(ly) >= len(lx):
+        if len(ly) >= len(lx) or not all(in_span(b, lx) for b in ly):
             return PositionReport(ok=False, witness=idx)
     return PositionReport(ok=True)
 
@@ -264,115 +245,66 @@ def relatively_uniform(y_local: TropicalCycle, x_local: PolyhedralComplex) -> Un
     L_M x L_{U_{r,r+1}} inside L_M x L_{U_{r+1,r+1}} for Boolean M.
 
     Supported catalogue: X locally linear (its local cone is a linear
-    subspace); Y of codimension 1 in X whose quotient by its lineality is the
-    fan over r+1 primitive rays summing to zero, any r of which form a lattice
-    basis, with all weights 1. Anything else is flagged unsupported.
+    subspace W); Y of codimension 1 in X whose quotient by its lineality is
+    the fan over r+1 primitive rays summing to zero, any r of which form a
+    lattice basis, with all weights 1. Anything else is flagged unsupported.
+
+    All in integers: Y lies in W iff its cells' integer directions vanish on
+    W's span normals; a ray's class modulo lineal(Y) is its image under
+    lineal(Y)'s span normals, keyed by its primitive form; dim W vectors of
+    W ∩ Z^n are a basis of it iff their maximal minors have gcd 1
+    (Cauchy–Binet).
     """
     n = x_local.ambient_dim
     x_max = x_local.maximal_cells()
     lx = lineality_space(x_local)
     if len(x_max) != 1 or x_local.cells[x_max[0]].dim != len(lx):
         return UniformityResult("unsupported", "ambient local cone is not a linear space")
-    w_basis = [tuple(Fraction(c) for c in b) for b in lx]
-    dim_w = len(w_basis)
+    dim_w = len(lx)
     y_complex = y_local.complex
     y_cells = [y_complex.cells[i] for i in y_local.weights]
     if not y_cells:
         return UniformityResult("unsupported", "empty local cycle")
     if any(w != 1 for w in y_local.weights.values()):
         return UniformityResult("false", "non-unit weight on a local cone")
-    dim_y = y_local.dim
-    if dim_y != dim_w - 1:
+    if y_local.dim != dim_w - 1:
         return UniformityResult("unsupported", "Y is not of codimension 1 in X")
     ly = lineality_space(
         PolyhedralComplex(n, [y_complex.cells[i] for i in sorted(y_local.weights)], set())
     )
-    m = len(ly)
-    r = dim_w - m
-    # Containment of Y in X's span.
-    for c in y_cells:
-        for d in c.directions():
-            if not in_span(d, w_basis):
-                return UniformityResult("false", "Y not contained in the ambient local cone")
+    r = dim_w - len(ly)
+    w_normals = _kernel_rows(*_eliminate(lx), n)
+    if any(vdot(h, d) for c in y_cells for d in c._integer_directions() for h in w_normals):
+        return UniformityResult("false", "Y not contained in the ambient local cone")
     if r == 1:
-        # Y = its own lineality space: a smooth point of D in a smooth chart.
-        if all(c.dim == m for c in y_cells):
-            return UniformityResult("true")
-        return UniformityResult("false", "expected a linear local cone for r=1")
-    # Quotient by Y's lineality: classes of the cells' rays modulo lineal(Y).
-    ly_vecs = [tuple(Fraction(c) for c in b) for b in ly]
-    class_reps: dict[tuple, tuple] = {}
+        # lineal(Y) lies in every cell, all of dimension dim Y = dim lineal(Y):
+        # Y is a linear space, a smooth point of D in a smooth chart.
+        return UniformityResult("true")
+    y_normals = _kernel_rows(*_eliminate(ly), n)
+
+    def image(v) -> IntVec:
+        return tuple(vdot(h, v) for h in y_normals)
+
+    classes: dict[IntVec, tuple[IntVec, IntVec]] = {}  # key -> (image, first ray)
     for c in y_cells:
-        for l in c.lineality:
-            lv = tuple(Fraction(x) for x in l)
-            if not in_span(lv, ly_vecs):
-                return UniformityResult("false", "cell lineality exceeds Y's lineality")
+        if any(any(image(l)) for l in c.lineality):
+            return UniformityResult("false", "cell lineality exceeds Y's lineality")
         for ray in c.rays:
-            rv = tuple(Fraction(x) for x in ray)
-            red = _reduce_mod_subspace(rv, ly_vecs, w_basis)
-            if red is None:
-                return UniformityResult("false", "ray not inside the ambient span")
-            if is_zero_vec(red):
+            im = image(ray)
+            if not any(im):
                 return UniformityResult("false", "a ray collapses into the lineality space")
-            key = primitive(red)
-            prev = class_reps.get(key)
-            if prev is not None and not is_zero_vec(
-                _reduce_mod_subspace(vsub(rv, prev), ly_vecs, w_basis)
-            ):
+            if classes.setdefault(primitive(im), (im, ray))[0] != im:
                 return UniformityResult("false", "overlapping non-equal rays in the quotient")
-            class_reps.setdefault(key, tuple(Fraction(x) for x in ray))
-    reps = [class_reps[k] for k in sorted(class_reps)]
-    if len(reps) != r + 1:
-        return UniformityResult("false", f"expected {r + 1} rays after quotient, got {len(reps)}")
-    total = tuple(Fraction(0) for _ in range(n))
-    for rep in reps:
-        total = vadd(total, rep)
-    if not (is_zero_vec(total) or (ly_vecs and in_span(total, ly_vecs))):
+    if len(classes) != r + 1:
+        return UniformityResult("false", f"expected {r + 1} rays after quotient, got {len(classes)}")
+    if any(map(sum, zip(*(im for im, _ in classes.values())))):
         return UniformityResult("false", "quotient rays do not sum to zero")
-    # Any r of the classes, together with lineal(Y), must form a lattice basis
-    # of the saturated lattice of W: coordinates w.r.t. that lattice must have
-    # determinant +-1.
-    from .linalg import lattice_basis_of_span
-
-    w_lattice = lattice_basis_of_span(w_basis, n)
-    rows = list(zip(*w_lattice))
-
-    def w_coords(v):
-        sol = solve_linear([list(row) for row in rows], v)
-        if sol is None:
-            raise ValueError("vector outside the ambient span")
-        return sol
-
-    ly_coords = [w_coords(b) for b in ly_vecs]
-    rep_coords = [w_coords(rep) for rep in reps]
-    for subset in itertools.combinations(range(r + 1), r):
-        mat = ly_coords + [rep_coords[i] for i in subset]
-        d = det(mat)
-        if abs(d) != 1:
+    cols = list(itertools.combinations(range(n), dim_w))
+    for subset in itertools.combinations([ray for _, ray in classes.values()], r):
+        rows = ly + list(subset)
+        if gcd_list(int(det([[v[j] for j in js] for v in rows])) for js in cols) != 1:
             return UniformityResult("false", "a ray subset is not a lattice basis")
     return UniformityResult("true")
-
-
-def _reduce_mod_subspace(v, sub_vecs, ambient_basis):
-    """Component of v modulo the subspace spanned by sub_vecs (inside the span
-    of ambient_basis); None if v is outside the ambient span."""
-    if not in_span(v, ambient_basis):
-        return None
-    if not sub_vecs:
-        return tuple(v)
-    # Orthogonal-complement reduction: subtract the projection solving the
-    # Gram system; linear in v and vanishing exactly on the subspace, so it is
-    # a class invariant of v modulo the subspace.
-    k = len(sub_vecs)
-    gram = [[vdot(sub_vecs[i], sub_vecs[j]) for j in range(k)] for i in range(k)]
-    rhs = [vdot(sub_vecs[i], v) for i in range(k)]
-    c = solve_linear(gram, rhs)
-    out = tuple(v)
-    for ci, sv in zip(c, sub_vecs):
-        out = vsub(out, vscale(ci, sv))
-    return out
-
-
 
 
 def local_cycle(a: TropicalCycle, x) -> TropicalCycle:

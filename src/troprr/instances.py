@@ -112,6 +112,8 @@ def curve_pair(q1: LatticePolytope, q2: LatticePolytope, seed: int,
     (which must share a normal fan); retried until every intersection point
     is a simple interior point of both curves."""
     surf = fan_from_polygon(q1)
+    if fan_from_polygon(q2).rays != surf.rays:
+        raise ValueError("the polygons of D and D' must share a normal fan")
     d1 = surf.polygon_divisor(q1)
     d2 = surf.polygon_divisor(q2)
     expected = surf.intersection(d1, d2)

@@ -210,7 +210,9 @@ def polynomial_from_json(data: dict, path: str = "$") -> TropicalPolynomial:
         _expect(isinstance(tdata, dict), tpath, "expected an object")
         e = _int_vec(tdata.get("exp"), f"{tpath}.exp")
         _expect(len(e) == n, f"{tpath}.exp", f"expected {n} exponents")
-        terms[e] = frac_from_str(tdata.get("coeff"), f"{tpath}.coeff")
+        c = frac_from_str(tdata.get("coeff"), f"{tpath}.coeff")
+        _expect(c is not NEG_INF, f"{tpath}.coeff", "expected a finite rational")
+        terms[e] = c
     return TropicalPolynomial(n, terms)
 
 
@@ -234,7 +236,9 @@ def graph_from_json(data: dict, path: str = "$"):
         edges.append(v)
     graph = TropicalCurveGraph(n, edges)
     divisor = [0] * n
-    for k, c in (data.get("divisor") or {}).items():
+    raw = data.get("divisor") or {}
+    _expect(isinstance(raw, dict), f"{path}.divisor", "expected an object")
+    for k, c in raw.items():
         _expect(k.isdigit() and int(k) < n, f"{path}.divisor",
                 f"bad vertex index {k!r}")
         divisor[int(k)] = _int(c, f"{path}.divisor[{k}]")

@@ -34,7 +34,6 @@ from .linalg import (
     gcd_list,
     in_span,
     integer_kernel,
-    is_zero_vec,
     lattice_basis_of_span,
     matrix_rank,
     primitive,
@@ -141,19 +140,11 @@ class Polyhedron:
 
     # -- basic geometry ----------------------------------------------------
 
-    def directions(self) -> list[Vec]:
-        """Vectors spanning the direction (tangent) space."""
-        base = self.vertices[0]
-        out = [vsub(v, base) for v in self.vertices[1:]]
-        out.extend(tuple(Fraction(c) for c in r) for r in self.rays)
-        out.extend(tuple(Fraction(c) for c in l) for l in self.lineality)
-        return [v for v in out if not is_zero_vec(v)]
-
     def _integer_directions(self) -> list[IntVec]:
-        """directions() in integers, each vector a positive multiple of the
-        one directions() gives: g0[0]·g[1:] − g[0]·g0[1:] for the
-        homogeneous generator g of each vertex after the first, g0 that of
-        the first, then the rays and the lineality. Built once."""
+        """Integer vectors spanning the direction (tangent) space:
+        g0[0]·g[1:] − g[0]·g0[1:], a positive multiple of v − v0, for the
+        homogeneous generator g of each vertex v after the first v0, g0 that
+        of v0, then the rays and the lineality. Built once."""
         if self._int_dirs is None:
             gens = _homogeneous_generators(self)
             g0 = gens[0]
@@ -258,13 +249,6 @@ class Polyhedron:
         if poly is None:
             raise ValueError("canonicalization emptied a nonempty polyhedron")
         return poly
-
-    def canonical_key(self):
-        """(vertices, rays, lineality) of the canonical form. With lineality
-        these come from H->V, whose vertices and rays are orthogonal to the
-        lineality and whose lineality basis depends on the space alone."""
-        can = self.canonicalize()
-        return (can.vertices, can.rays, can.lineality)
 
     def __repr__(self):
         return (
@@ -552,8 +536,10 @@ def local_cone(c: PolyhedralComplex, x) -> PolyhedralComplex:
         # Tangent cone at x: homogeneous parts of the tight constraints.
         heqs = [(0,) + e[1:] for e in eqs if any(e[1:])]
         hineqs = [(0,) + f[1:] for f in ineqs if vdot(f, hx) == 0 and any(f[1:])]
+        # H->V gives the irredundant generators, orthogonal to the lineality,
+        # whatever rows describe the cone: they are its key.
         cone = polyhedron_from_hrep(heqs, hineqs, c.ambient_dim)
-        key = cone.canonical_key()
+        key = (cone.vertices, cone.rays, cone.lineality)
         if key not in keys:
             keys[key] = len(cones)
             cones.append(cone)

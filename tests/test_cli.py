@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, report JSON, and reproducibility."""
 
+import itertools
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from troprr import cli, eulercalc, instances
 from troprr.cli import main
@@ -176,6 +178,101 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
     assert main(["bertini", SQUARE, polygon]) == 1
     err = capsys.readouterr().err
     assert err.count(f"error: {message}") == 2
+
+
+def test_bertini_rejects_polygons_with_different_normal_fans(capsys):
+    assert main(["bertini", '{"vertices": [[0,0],[1,0],[0,1]]}',
+                 '{"vertices": [[0,0],[2,0],[0,1],[2,1]]}']) == 1
+    captured = capsys.readouterr()
+    assert "error: the polygons of D and D' must share a normal fan" in captured.err
+    assert "[FAIL]" not in captured.out
+
+
+@pytest.mark.parametrize("divisor", ["[1]", '"x"'])
+def test_curve_divisor_that_is_not_an_object_exits_1(divisor, capsys):
+    graph = '{"vertices": 2, "edges": [[0,1]], "divisor": %s}' % divisor
+    assert main(["curve", graph]) == 1
+    assert "error: $.divisor: expected an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["euler", "hypersurface"])
+def test_minus_infinity_coefficient_exits_1(command, capsys):
+    polynomial = '{"n": 2, "terms": [{"exp": [0,0], "coeff": "-inf"}]}'
+    assert main([command, polynomial]) == 1
+    assert "error: $.terms[0].coeff: expected a finite rational" in capsys.readouterr().err
+
+
+# -- fuzzing: every subcommand, well-formed and malformed JSON ----------------------
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["x", "-inf", "1/2", "0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
+        ["0", "1", "n", "vertices", "edges", "divisor", "bases", "terms", "exp", "coeff"]),
+        inner, max_size=3),
+    max_leaves=6)
+
+
+def maybe(strategy):
+    """Mostly the well-formed value, one time in five junk in its place."""
+    return st.integers(0, 4).flatmap(lambda k: JUNK if k == 4 else strategy)
+
+
+DELZANT = ['{"vertices": [[0,0],[1,0],[0,1]]}', '{"vertices": [[0,0],[2,0],[0,2]]}',
+           '{"vertices": [[0,0],[1,0],[1,1],[0,1]]}', SQUARE]
+POLYGON = st.one_of(st.sampled_from(DELZANT), st.fixed_dictionaries({"vertices": maybe(
+    st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), min_size=1, max_size=5))}
+).map(json.dumps))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    return json.dumps({
+        "vertices": draw(maybe(st.just(n))),
+        "edges": draw(maybe(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=4))),
+        "divisor": draw(maybe(st.dictionaries(vertex.map(str), st.integers(-1, 3),
+                                              max_size=n)))})
+
+
+@st.composite
+def matroids(draw):
+    n = draw(st.integers(1, 4))
+    bases = [list(b) for b in itertools.combinations(range(1, n + 1), draw(st.integers(1, n)))]
+    return json.dumps({"n": draw(maybe(st.just(n))),
+                       "bases": draw(maybe(st.sampled_from([bases, bases[:-1]])))})
+
+
+@st.composite
+def polynomials(draw):
+    n = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    coeff = maybe(st.sampled_from(["0", "1", "-2", "1/2"]))
+    return json.dumps({"n": draw(maybe(st.just(n))), "terms": draw(maybe(st.just(
+        [{"exp": draw(maybe(st.just(e))), "coeff": draw(coeff)} for e in exps])))})
+
+
+COMMANDS = st.one_of(
+    st.tuples(st.just("tpn"), st.sampled_from(["-1", "1", "2", "3", "x"]),
+              st.sampled_from(["0", "1", "2", "3", "x"])),
+    st.tuples(st.just("surface"), POLYGON),
+    st.tuples(st.just("bertini"), POLYGON, POLYGON),
+    st.tuples(st.just("curve"), graphs()),
+    st.tuples(st.just("csm"), matroids()),
+    st.tuples(st.just("hypersurface"), polynomials()),
+    st.tuples(st.just("euler"), polynomials()),
+).map(list)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(COMMANDS)
+@example(["curve", '{"vertices": 2, "edges": [[0,1]], "divisor": [1]}'])
+@example(["curve", '{"vertices": 2, "edges": [[0,1]], "divisor": "x"}'])
+@example(["euler", '{"n": 2, "terms": [{"exp": [0,0], "coeff": "-inf"}]}'])
+@example(["hypersurface", '{"n": 1, "terms": [{"exp": [1], "coeff": "-inf"}]}'])
+def test_every_subcommand_exits_0_1_or_2_on_any_input(argv):
+    assert main(["--retries", "3"] + argv) in (0, 1, 2)
 
 
 GOLDEN = Path(__file__).parent / "golden"

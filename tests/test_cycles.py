@@ -1,17 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from test_linalg import oracle_quotient_generator
 from troprr.cycles import (
     CartierFunction,
     TropicalCycle,
+    UniformityResult,
     _normal_vector,
     check_balancing,
     degree,
     divisor_intersect,
+    local_cycle,
     moderate_position,
     power_tower,
     relatively_uniform,
@@ -23,8 +26,35 @@ from troprr.hypersurface import (
     random_smooth_polynomial,
     tropical_hypersurface,
 )
-from troprr.linalg import lattice_basis_of_span
-from troprr.polyhedra import PolyhedralComplex, Polyhedron, local_cone, standard_simplex
+from troprr.linalg import (
+    det,
+    in_span,
+    is_zero_vec,
+    lattice_basis_of_span,
+    matrix_rank,
+    primitive,
+    solve_linear,
+    vadd,
+    vdot,
+    vscale,
+    vsub,
+)
+from troprr.polyhedra import (
+    PolyhedralComplex,
+    Polyhedron,
+    lineality_space,
+    local_cone,
+    standard_simplex,
+)
+
+
+def directions(p):
+    """Fraction vectors spanning the direction (tangent) space of p."""
+    base = p.vertices[0]
+    out = [vsub(v, base) for v in p.vertices[1:]]
+    out.extend(tuple(Fraction(c) for c in r) for r in p.rays)
+    out.extend(tuple(Fraction(c) for c in l) for l in p.lineality)
+    return [v for v in out if not is_zero_vec(v)]
 
 
 def plane_fan_complex():
@@ -218,8 +248,8 @@ def oracle_normal_vector(c, tau_idx, sigma_idx):
     tau, sigma = c.cells[tau_idx], c.cells[sigma_idx]
     ref = tuple(a - b for a, b in zip(sigma.relative_interior_point(),
                                       tau.relative_interior_point()))
-    lattice = lattice_basis_of_span(sigma.directions(), c.ambient_dim)
-    return oracle_quotient_generator(tau.directions(), lattice, ref, c.ambient_dim)
+    lattice = lattice_basis_of_span(directions(sigma), c.ambient_dim)
+    return oracle_quotient_generator(directions(tau), lattice, ref, c.ambient_dim)
 
 
 def smooth_polynomial(n, d, seed):
@@ -256,3 +286,237 @@ def test_memoized_normals_match_fraction_path_on_dual_complexes(n, d, seed):
                 oracle_normal_vector(c, tau_idx, sigma_idx), (tau_idx, sigma_idx)
         checked += len(pairs)
     assert checked > 0
+
+
+# -- relative uniformity, against the Fraction Gram path it replaced -------------
+
+
+def _reduce_mod_subspace(v, sub_vecs, ambient_basis):
+    """Component of v modulo the subspace spanned by sub_vecs (inside the span
+    of ambient_basis); None if v is outside the ambient span."""
+    if not in_span(v, ambient_basis):
+        return None
+    if not sub_vecs:
+        return tuple(v)
+    # Orthogonal-complement reduction: subtract the projection solving the
+    # Gram system; linear in v and vanishing exactly on the subspace, so it is
+    # a class invariant of v modulo the subspace.
+    k = len(sub_vecs)
+    gram = [[vdot(sub_vecs[i], sub_vecs[j]) for j in range(k)] for i in range(k)]
+    rhs = [vdot(sub_vecs[i], v) for i in range(k)]
+    c = solve_linear(gram, rhs)
+    out = tuple(v)
+    for ci, sv in zip(c, sub_vecs):
+        out = vsub(out, vscale(ci, sv))
+    return out
+
+
+def oracle_relatively_uniform(y_local, x_local):
+    """relatively_uniform as it was computed in Fraction arithmetic: classes
+    modulo lineal(Y) by a Gram projection, the lattice-basis test by the
+    determinant of coordinates in a basis of the saturated lattice of W."""
+    n = x_local.ambient_dim
+    x_max = x_local.maximal_cells()
+    lx = lineality_space(x_local)
+    if len(x_max) != 1 or x_local.cells[x_max[0]].dim != len(lx):
+        return UniformityResult("unsupported", "ambient local cone is not a linear space")
+    w_basis = [tuple(Fraction(c) for c in b) for b in lx]
+    dim_w = len(w_basis)
+    y_complex = y_local.complex
+    y_cells = [y_complex.cells[i] for i in y_local.weights]
+    if not y_cells:
+        return UniformityResult("unsupported", "empty local cycle")
+    if any(w != 1 for w in y_local.weights.values()):
+        return UniformityResult("false", "non-unit weight on a local cone")
+    dim_y = y_local.dim
+    if dim_y != dim_w - 1:
+        return UniformityResult("unsupported", "Y is not of codimension 1 in X")
+    ly = lineality_space(
+        PolyhedralComplex(n, [y_complex.cells[i] for i in sorted(y_local.weights)], set())
+    )
+    m = len(ly)
+    r = dim_w - m
+    for c in y_cells:
+        for d in directions(c):
+            if not in_span(d, w_basis):
+                return UniformityResult("false", "Y not contained in the ambient local cone")
+    if r == 1:
+        if all(c.dim == m for c in y_cells):
+            return UniformityResult("true")
+        return UniformityResult("false", "expected a linear local cone for r=1")
+    ly_vecs = [tuple(Fraction(c) for c in b) for b in ly]
+    class_reps: dict[tuple, tuple] = {}
+    for c in y_cells:
+        for l in c.lineality:
+            lv = tuple(Fraction(x) for x in l)
+            if not in_span(lv, ly_vecs):
+                return UniformityResult("false", "cell lineality exceeds Y's lineality")
+        for ray in c.rays:
+            rv = tuple(Fraction(x) for x in ray)
+            red = _reduce_mod_subspace(rv, ly_vecs, w_basis)
+            if red is None:
+                return UniformityResult("false", "ray not inside the ambient span")
+            if is_zero_vec(red):
+                return UniformityResult("false", "a ray collapses into the lineality space")
+            key = primitive(red)
+            prev = class_reps.get(key)
+            if prev is not None and not is_zero_vec(
+                _reduce_mod_subspace(vsub(rv, prev), ly_vecs, w_basis)
+            ):
+                return UniformityResult("false", "overlapping non-equal rays in the quotient")
+            class_reps.setdefault(key, tuple(Fraction(x) for x in ray))
+    reps = [class_reps[k] for k in sorted(class_reps)]
+    if len(reps) != r + 1:
+        return UniformityResult("false", f"expected {r + 1} rays after quotient, got {len(reps)}")
+    total = tuple(Fraction(0) for _ in range(n))
+    for rep in reps:
+        total = vadd(total, rep)
+    if not (is_zero_vec(total) or (ly_vecs and in_span(total, ly_vecs))):
+        return UniformityResult("false", "quotient rays do not sum to zero")
+    w_lattice = lattice_basis_of_span(w_basis, n)
+    rows = list(zip(*w_lattice))
+
+    def w_coords(v):
+        sol = solve_linear([list(row) for row in rows], v)
+        if sol is None:
+            raise ValueError("vector outside the ambient span")
+        return sol
+
+    ly_coords = [w_coords(b) for b in ly_vecs]
+    rep_coords = [w_coords(rep) for rep in reps]
+    for subset in itertools.combinations(range(r + 1), r):
+        mat = ly_coords + [rep_coords[i] for i in subset]
+        if abs(det(mat)) != 1:
+            return UniformityResult("false", "a ray subset is not a lattice basis")
+    return UniformityResult("true")
+
+
+def linear_fan(basis):
+    n = len(basis[0])
+    return PolyhedralComplex(n, [Polyhedron([(0,) * n], lineality=basis)], set())
+
+
+def cycle_pair(cells, weights=None, ambient=None):
+    """(Y, X): Y weights the cells (1 unless weights says otherwise), X is the
+    linear span of ambient (all of R^n if None)."""
+    n = cells[0].ambient_dim
+    y = TropicalCycle(PolyhedralComplex(n, cells, set()), cells[0].dim,
+                      dict(enumerate(weights or [1] * len(cells))))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return y, linear_fan(ambient or units)
+
+
+def local_pair(n, cell_rays, lineality=(), weights=None, ambient=None):
+    """cycle_pair of the cones spanned by each entry of cell_rays and the
+    common lineality."""
+    return cycle_pair([Polyhedron([(0,) * n], rays, lineality) for rays in cell_rays],
+                      weights, ambient)
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+# A plane and a half-plane meeting in the line of E1: lineal(Y) is that line.
+PLANE_AND_HALF_PLANE = [Polyhedron([(0, 0, 0)], lineality=[E1, E2]),
+                        Polyhedron([(0, 0, 0)], [E3], [E1])]
+
+
+@st.composite
+def local_pairs(draw):
+    """Fans in R^2 and R^3 inside all of R^n or a drawn plane W of R^3, mostly
+    of codimension 1 in W: cones over k >= 1 rays and a common lineality of
+    dimension dim W - 1 - k, or (k = 1) two rays of W and their negated sum.
+    Rays and lineality mostly lie in W; the weights are 1, or with one
+    chance in five drawn from 1 and 2."""
+    n = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    ambient = None
+    if n == 3 and draw(st.booleans()):
+        ambient = draw(st.lists(vec, min_size=2, max_size=2))
+        if matrix_rank(ambient) != n - 1:
+            ambient = None
+    span = ambient or [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(span), max_size=len(span))
+    in_w = coeffs.map(lambda cs: tuple(sum(c * b[i] for c, b in zip(cs, span))
+                                       for i in range(n))).filter(any)
+    direction = st.one_of(in_w, in_w, in_w, vec)
+    lin_dim = draw(st.integers(0, len(span) - 2))
+    lineality = draw(st.lists(direction, min_size=lin_dim, max_size=lin_dim))
+    k = len(span) - 1 - lin_dim
+    if k == 1 and draw(st.booleans()):
+        rays = draw(st.lists(in_w, min_size=2, max_size=2))
+        total = tuple(-sum(c) for c in zip(*rays))
+        cell_rays = [[r] for r in rays] + ([[total]] if any(total) else [])
+    else:
+        cell_rays = draw(st.lists(st.lists(direction, min_size=k, max_size=k),
+                                  min_size=1, max_size=4))
+    cells = [Polyhedron([(0,) * n], rays, lineality) for rays in cell_rays]
+    dim = cells[0].dim
+    cells = [c for c in cells if c.dim == dim]
+    weights = [1] * len(cells)
+    if draw(st.integers(0, 4)) == 0:
+        weights = draw(st.lists(st.sampled_from([1, 2]), min_size=len(cells),
+                                max_size=len(cells)))
+    y = TropicalCycle(PolyhedralComplex(n, cells, set()), dim, dict(enumerate(weights)))
+    return y, linear_fan(span)
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_pairs())
+@example(local_pair(2, [[(-1, 0)], [(0, -1)], [(1, 1)]]))  # the tropical line: true
+@example(local_pair(2, [[]], [(1, 0)]))  # r = 1, a line in the plane: true
+@example(local_pair(2, [[(-1, 0)], [(0, -1)], [(1, 1)]], weights=[1, 1, 2]))  # non-unit weight
+@example(local_pair(3, [[(1, 0, 1)], [(0, 1, 0)], [(-1, -1, -1)]],
+                    ambient=[E1, E2]))  # not contained in W
+@example(cycle_pair(PLANE_AND_HALF_PLANE))  # lineality beyond lineal(Y)
+@example(local_pair(3, [[E1, E3], [E1, (0, 0, -1)]]))  # a ray collapses
+@example(local_pair(3, [[E1], [(2, 0, 1)], [E2], [(-1, -1, 0)]], [E3]))  # overlap
+@example(local_pair(2, [[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)]]))  # four rays
+@example(local_pair(2, [[(1, 0)], [(0, 1)], [(-1, -2)]]))  # no zero sum
+@example(local_pair(2, [[(1, 0)], [(1, 3)], [(-2, -3)]]))  # no lattice basis
+@example(local_pair(2, [[(1, 0)], [(0, 1)]]))  # the ambient's codimension 2
+def test_relatively_uniform_matches_the_gram_projection(pair):
+    y, x = pair
+    assert relatively_uniform(y, x) == oracle_relatively_uniform(y, x)
+
+
+def test_the_examples_reach_every_false_branch():
+    pairs = [
+        local_pair(2, [[(-1, 0)], [(0, -1)], [(1, 1)]], weights=[1, 1, 2]),
+        local_pair(3, [[(1, 0, 1)], [(0, 1, 0)], [(-1, -1, -1)]], ambient=[E1, E2]),
+        cycle_pair(PLANE_AND_HALF_PLANE),
+        local_pair(3, [[E1, E3], [E1, (0, 0, -1)]]),
+        local_pair(3, [[E1], [(2, 0, 1)], [E2], [(-1, -1, 0)]], [E3]),
+        local_pair(2, [[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)]]),
+        local_pair(2, [[(1, 0)], [(0, 1)], [(-1, -2)]]),
+        local_pair(2, [[(1, 0)], [(1, 3)], [(-2, -3)]]),
+    ]
+    reasons = [relatively_uniform(y, x).reason for y, x in pairs]
+    assert reasons == [
+        "non-unit weight on a local cone",
+        "Y not contained in the ambient local cone",
+        "cell lineality exceeds Y's lineality",
+        "a ray collapses into the lineality space",
+        "overlapping non-equal rays in the quotient",
+        "expected 3 rays after quotient, got 4",
+        "quotient rays do not sum to zero",
+        "a ray subset is not a lattice basis",
+    ]
+
+
+@pytest.mark.parametrize("n,d,seeds", [(2, 2, range(6)), (2, 3, range(6)), (3, 2, range(4))])
+def test_relatively_uniform_matches_the_gram_projection_on_hypersurfaces(n, d, seeds):
+    """At a relative-interior point of every cell of hypersurfaces with
+    small integer heights, mostly not smooth: weights 2, lattice-basis and
+    sum failures occur as well as true cases."""
+    ambient = linear_fan([tuple(int(i == j) for j in range(n)) for i in range(n)])
+    pts = standard_simplex(n, d).lattice_points()
+    statuses = set()
+    for seed in seeds:
+        rng = random.Random(seed)
+        curve = tropical_hypersurface(
+            polynomial_from_heights(n, pts, [rng.randint(-3, 3) for _ in pts]))
+        for i in sorted(curve.complex.faces_closure(curve.support_cells())):
+            y = local_cycle(curve, curve.complex.cells[i].relative_interior_point())
+            result = relatively_uniform(y, ambient)
+            assert result == oracle_relatively_uniform(y, ambient)
+            statuses.add(result.status)
+    assert statuses == {"true", "false"}

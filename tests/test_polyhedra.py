@@ -167,24 +167,51 @@ def test_local_cone_interior_of_maximal_cell_is_tangent_span():
     assert cell.dim == 2 and len(cell.lineality) == 2
 
 
+def canonical_key(p):
+    """(vertices, rays, lineality) of p's canonical form."""
+    can = p.canonicalize()
+    return (can.vertices, can.rays, can.lineality)
+
+
 def test_canonical_key_reduces_rays_modulo_the_lineality():
     # The half-plane y >= 0: bare, with the redundant row y >= -1, and
     # spanned by a ray that is not orthogonal to its lineality.
     bare = polyhedron_from_hrep([], [(0, 0, 1)], 2)
     padded = polyhedron_from_hrep([], [(0, 0, 1), (1, 0, 1)], 2)
     slanted = Polyhedron([(0, 0)], rays=[(-3, 1)], lineality=[(1, 0)])
-    assert bare.canonical_key() == padded.canonical_key() == slanted.canonical_key()
-    assert bare.canonical_key() == (((0, 0),), ((0, 1),), ((1, 0),))
+    assert canonical_key(bare) == canonical_key(padded) == canonical_key(slanted)
+    assert canonical_key(bare) == (((0, 0),), ((0, 1),), ((1, 0),))
     # A triangle's tangent cone at a point inside its edge from (0, 0) to
-    # (2, 1): the half-plane x - 2y <= 0, with a ray and lineality.
+    # (2, 1): the half-plane x - 2y <= 0, with a ray and lineality. H->V
+    # gives local_cone its cells in canonical form already.
     triangle = Polyhedron([(0, 0), (2, 1), (0, 2)])
     fan = local_cone(PolyhedralComplex(2, [triangle], set()), (1, Fraction(1, 2)))
-    assert fan.cells[0].canonical_key() == (((0, 0),), ((-1, 2),), ((2, 1),))
+    assert canonical_key(fan.cells[0]) == generators(fan.cells[0]) \
+        == (((0, 0),), ((-1, 2),), ((2, 1),))
     # The same in the plane x = z of R^3, where the ray is still the one
     # orthogonal to the lineality (2, 1, 2).
     tilted = Polyhedron([(0, 0, 0), (2, 1, 2), (0, 2, 0)])
     fan = local_cone(PolyhedralComplex(3, [tilted], set()), (1, Fraction(1, 2), 1))
-    assert fan.cells[0].canonical_key() == (((0, 0, 0),), ((-1, 4, -1),), ((2, 1, 2),))
+    assert canonical_key(fan.cells[0]) == generators(fan.cells[0]) \
+        == (((0, 0, 0),), ((-1, 4, -1),), ((2, 1, 2),))
+
+
+def test_local_cone_runs_no_v_to_h_once_the_cells_have_their_h_reps(monkeypatch):
+    curve = tropical_hypersurface(smooth_simplex_polynomial(2, 3))
+    c = curve.complex
+    for cell in c.cells:
+        cell._integer_hrep()
+    points = [cell.relative_interior_point() for cell in c.cells]
+    calls = []
+    original = polyhedra._hrep_from_vrep
+
+    def counting(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(polyhedra, "_hrep_from_vrep", counting)
+    fans = [local_cone(c, x) for x in points]
+    assert sum(len(fan.cells) for fan in fans) > len(points) and not calls
 
 
 def test_lineality_space_examples():
