@@ -15,6 +15,7 @@ from .linalg import (
     det,
     gcd_list,
     in_span,
+    integer_kernel,
     primitive,
     quotient_generator,
     vdot,
@@ -123,8 +124,7 @@ class CartierFunction:
     piece (integer linear part, rational constant) per weighted maximal cell,
     agreeing on shared faces."""
 
-    def __init__(self, cycle: TropicalCycle, pieces: dict[int, tuple[tuple[int, ...], Fraction]],
-                 check_continuity: bool = True):
+    def __init__(self, cycle: TropicalCycle, pieces: dict[int, tuple[tuple[int, ...], Fraction]]):
         self.cycle = cycle
         self.pieces = {
             i: (tuple(int(c) for c in lin), Fraction(const))
@@ -133,16 +133,17 @@ class CartierFunction:
         for i in cycle.weights:
             if i not in self.pieces:
                 raise ValueError(f"missing affine piece for weighted cell {i}")
-        if check_continuity:
-            self._check_continuity()
+        self._check_continuity()
 
     def _check_continuity(self):
+        """Two pieces agree on a shared face tau iff their difference
+        (c1 - c2, l1 - l2) vanishes on tau's homogeneous generators."""
         for tau_idx, sigmas in self.cycle.codim1_cells().items():
-            tau = self.cycle.complex.cells[tau_idx]
+            gens = _homogeneous_generators(self.cycle.complex.cells[tau_idx])
             for s1, s2 in itertools.combinations(sigmas, 2):
                 (l1, c1), (l2, c2) = self.pieces[s1], self.pieces[s2]
-                if any(vdot(l1, v) + c1 != vdot(l2, v) + c2 for v in tau.vertices) or any(
-                        vdot(l1, d) != vdot(l2, d) for d in tau.rays + tau.lineality):
+                diff = (c1 - c2,) + tuple(a - b for a, b in zip(l1, l2))
+                if any(vdot(diff, g) for g in gens):
                     raise ValueError(
                         f"affine pieces of cells {s1},{s2} disagree on face {tau_idx}"
                     )
@@ -250,10 +251,12 @@ def relatively_uniform(y_local: TropicalCycle, x_local: PolyhedralComplex) -> Un
     lattice basis, with all weights 1. Anything else is flagged unsupported.
 
     All in integers: Y lies in W iff its cells' integer directions vanish on
-    W's span normals; a ray's class modulo lineal(Y) is its image under
-    lineal(Y)'s span normals, keyed by its primitive form; dim W vectors of
-    W ∩ Z^n are a basis of it iff their maximal minors have gcd 1
-    (Cauchy–Binet).
+    W's span normals. A basis Q of the saturated lattice of covectors
+    vanishing on lineal(Y) (``integer_kernel``) maps Z^n onto the quotient
+    lattice Z^n / lineal(Y); a ray's class is the primitive vector of its
+    image. The classes lie in the saturated image of W ∩ Z^n, so r of them
+    are a basis of it iff their r x r minors have gcd 1 (Cauchy–Binet); as
+    the r + 1 classes sum to zero, one r-subset stands for all of them.
     """
     n = x_local.ambient_dim
     x_max = x_local.maximal_cells()
@@ -280,30 +283,33 @@ def relatively_uniform(y_local: TropicalCycle, x_local: PolyhedralComplex) -> Un
         # lineal(Y) lies in every cell, all of dimension dim Y = dim lineal(Y):
         # Y is a linear space, a smooth point of D in a smooth chart.
         return UniformityResult("true")
-    y_normals = _kernel_rows(*_eliminate(ly), n)
+    q = integer_kernel(ly, n)
 
     def image(v) -> IntVec:
-        return tuple(vdot(h, v) for h in y_normals)
+        return tuple(vdot(h, v) for h in q)
 
-    classes: dict[IntVec, tuple[IntVec, IntVec]] = {}  # key -> (image, first ray)
+    classes: set[IntVec] = set()
+    cones: set[frozenset[IntVec]] = set()
     for c in y_cells:
         if any(any(image(l)) for l in c.lineality):
             return UniformityResult("false", "cell lineality exceeds Y's lineality")
-        for ray in c.rays:
-            im = image(ray)
-            if not any(im):
-                return UniformityResult("false", "a ray collapses into the lineality space")
-            if classes.setdefault(primitive(im), (im, ray))[0] != im:
-                return UniformityResult("false", "overlapping non-equal rays in the quotient")
+        ims = [image(ray) for ray in c.rays]
+        if not all(map(any, ims)):
+            return UniformityResult("false", "a ray collapses into the lineality space")
+        cone = frozenset(map(primitive, ims))
+        if cone in cones:
+            return UniformityResult("false", "overlapping non-equal rays in the quotient")
+        cones.add(cone)
+        classes |= cone
     if len(classes) != r + 1:
         return UniformityResult("false", f"expected {r + 1} rays after quotient, got {len(classes)}")
-    if any(map(sum, zip(*(im for im, _ in classes.values())))):
+    if any(map(sum, zip(*classes))):
         return UniformityResult("false", "quotient rays do not sum to zero")
-    cols = list(itertools.combinations(range(n), dim_w))
-    for subset in itertools.combinations([ray for _, ray in classes.values()], r):
-        rows = ly + list(subset)
-        if gcd_list(int(det([[v[j] for j in js] for v in rows])) for js in cols) != 1:
-            return UniformityResult("false", "a ray subset is not a lattice basis")
+    basis = sorted(classes)[:r]
+    minors = (det([[v[j] for j in js] for v in basis])
+              for js in itertools.combinations(range(len(q)), r))
+    if gcd_list(int(m) for m in minors) != 1:
+        return UniformityResult("false", "a ray subset is not a lattice basis")
     return UniformityResult("true")
 
 
@@ -313,7 +319,7 @@ def local_cycle(a: TropicalCycle, x) -> TropicalCycle:
     fan = local_cone(a.complex, x)
     weights: dict[int, int] = {}
     for i, w in a.weights.items():
-        if a.complex.cells[i].contains(x):
-            j = fan.index_map[i]
+        j = fan.index_map.get(i)
+        if j is not None:
             weights[j] = weights.get(j, 0) + w
     return TropicalCycle(fan, a.dim, weights)

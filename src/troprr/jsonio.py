@@ -15,7 +15,8 @@ from fractions import Fraction
 from .curves import TropicalCurveGraph
 from .cycles import CartierFunction, TropicalCycle
 from .hypersurface import TropicalPolynomial
-from .matroids import Matroid
+from .linalg import matrix_rank
+from .matroids import _MAX_GROUND, Matroid
 from .polyhedra import NEG_INF, LatticePolytope, PolyhedralComplex, Polyhedron
 
 
@@ -40,6 +41,15 @@ def frac_from_str(s, path: str = "$"):
 def _expect(cond: bool, path: str, msg: str):
     if not cond:
         raise ValueError(f"{path}: {msg}")
+
+
+def _at(path: str, build, *args):
+    """build(*args), its ValueError prefixed with the JSON path of the input
+    it rejects."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _int(v, path: str) -> int:
@@ -173,8 +183,9 @@ def matroid_from_json(data: dict, path: str = "$") -> Matroid:
     raw = data.get("bases")
     _expect(isinstance(raw, list) and raw, f"{path}.bases",
             "expected a nonempty list")
+    _expect(0 <= n <= _MAX_GROUND, f"{path}.n", f"expected 0 <= n <= {_MAX_GROUND}")
     bases = [_int_vec(b, f"{path}.bases[{i}]") for i, b in enumerate(raw)]
-    return Matroid(n, bases)
+    return _at(f"{path}.bases", Matroid, n, bases)
 
 
 def polygon_from_json(data: dict, path: str = "$") -> LatticePolytope:
@@ -213,6 +224,9 @@ def polynomial_from_json(data: dict, path: str = "$") -> TropicalPolynomial:
         c = frac_from_str(tdata.get("coeff"), f"{tpath}.coeff")
         _expect(c is not NEG_INF, f"{tpath}.coeff", "expected a finite rational")
         terms[e] = c
+    e0 = next(iter(terms))
+    _expect(matrix_rank([[a - b for a, b in zip(e, e0)] for e in terms]) == n,
+            f"{path}.terms", "Newton polytope must be full-dimensional")
     return TropicalPolynomial(n, terms)
 
 
@@ -227,6 +241,7 @@ def graph_from_json(data: dict, path: str = "$"):
     """Returns (graph, divisor) with the divisor indexed by vertex."""
     _expect(isinstance(data, dict), path, "expected an object")
     n = _int(data.get("vertices"), f"{path}.vertices")
+    _expect(n >= 1, f"{path}.vertices", "need at least one vertex")
     raw = data.get("edges")
     _expect(isinstance(raw, list), f"{path}.edges", "expected a list")
     edges = []
@@ -234,7 +249,7 @@ def graph_from_json(data: dict, path: str = "$"):
         v = _int_vec(e, f"{path}.edges[{i}]")
         _expect(len(v) == 2, f"{path}.edges[{i}]", "expected [u, v]")
         edges.append(v)
-    graph = TropicalCurveGraph(n, edges)
+    graph = _at(f"{path}.edges", TropicalCurveGraph, n, edges)
     divisor = [0] * n
     raw = data.get("divisor") or {}
     _expect(isinstance(raw, dict), f"{path}.divisor", "expected an object")

@@ -6,7 +6,13 @@ elimination runs on those integers: ``_eliminate`` is fraction-free
 Gauss–Jordan (each update ``p*row_i - f*pivot_row`` is divided by the row's
 content), and ``det`` is Bareiss elimination (Bareiss 1968). ``Fraction``
 objects are built only for the results that are rational: the entries of
-``rref``, ``nullspace`` and ``solve_linear``, and the value of ``det``.
+``rref`` and ``solve_linear``, and the value of ``det``.
+
+Every question about a saturated lattice (an integer kernel, the lattice of
+a span, a quotient generator) is answered by one Hermite normal form,
+``_hermite`` (Cohen, *A Course in Computational Algebraic Number Theory*,
+GTM 138, §2.4), built from extended-gcd row operations (``_xgcd``). It
+gives each lattice one canonical basis.
 """
 
 from __future__ import annotations
@@ -155,29 +161,11 @@ def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
     return tuple(x)
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
-    """Basis of {x : A x = 0} over the rationals."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = _eliminate(rows)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(tuple(v))
-    return basis
-
-
 def _kernel_rows(m: list[list[int]], pivots: list[int], ncols: int) -> list[IntVec]:
     """Kernel basis from the rows and pivots of ``_eliminate(rows)``: one
     primitive integer vector per free column, in column order, positive in
-    its free column. Each is the matching ``nullspace`` vector times a
-    positive integer."""
+    its free column. Each is a positive multiple of the rational kernel
+    vector that is 1 in its free column and 0 in the other free columns."""
     scale = lcm(*(row[pc] for row, pc in zip(m, pivots)))
     out = []
     for free in range(ncols):
@@ -218,74 +206,67 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * prev, scale)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _hermite(rows: Sequence[Sequence[int]],
+             ncols: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """Row Hermite normal form of an integer matrix: (H, U, rank) with
+    H = U A and U unimodular. The first ``rank`` rows of H are in echelon
+    form with positive pivots, every entry above a pivot lies in
+    [0, pivot), and the other rows are zero; so the rows of U past
+    ``rank`` are a basis of the integer left kernel of A."""
+    h = [list(row) for row in rows]
+    nrows = len(h)
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r + 1, nrows):
+            if h[i][c]:
+                g, s, t = _xgcd(h[r][c], h[i][c])
+                a, b = h[r][c] // g, h[i][c] // g
+                # [[s, t], [-b, a]] has determinant s*a + t*b = 1 and clears
+                # column c of row i.
+                for m in (h, u):
+                    x, y = m[r], m[i]
+                    m[r] = [s * xj + t * yj for xj, yj in zip(x, y)]
+                    m[i] = [a * yj - b * xj for xj, yj in zip(x, y)]
+        p = h[r][c]
+        if not p:
+            continue
+        if p < 0:
+            p = -p
+            h[r], u[r] = [-x for x in h[r]], [-x for x in u[r]]
+        for i in range(r):
+            f = h[i][c] // p
+            if f:
+                h[i] = [x - f * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - f * y for x, y in zip(u[i], u[r])]
+        r += 1
+    return h, u, r
+
+
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVec]:
     """Basis of the saturated lattice {x in Z^ncols : A x = 0} for an integer
-    matrix A, via unimodular column reduction."""
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_op_swap(j, k):
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in u:
-            row[j], row[k] = row[k], row[j]
-
-    def col_op_add(j, k, q):
-        # column j += q * column k
-        for row in m:
-            row[j] += q * row[k]
-        for row in u:
-            row[j] += q * row[k]
-
-    def col_op_neg(j):
-        for row in m:
-            row[j] = -row[j]
-        for row in u:
-            row[j] = -row[j]
-
-    pivot_col = 0
-    for r in range(nrows):
-        if pivot_col >= ncols:
-            break
-        # gcd-reduce row r across columns pivot_col..ncols-1
-        while True:
-            nz = [j for j in range(pivot_col, ncols) if m[r][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(m[r][j]))
-            if jmin != pivot_col:
-                col_op_swap(pivot_col, jmin)
-            if m[r][pivot_col] < 0:
-                col_op_neg(pivot_col)
-            done = True
-            for j in range(pivot_col + 1, ncols):
-                if m[r][j] != 0:
-                    q = -(m[r][j] // m[r][pivot_col])
-                    col_op_add(j, pivot_col, q)
-                    if m[r][j] != 0:
-                        done = False
-            if done and all(m[r][j] == 0 for j in range(pivot_col + 1, ncols)):
-                break
-        if m[r][pivot_col] != 0:
-            pivot_col += 1
-    kernel_cols = []
-    for j in range(pivot_col, ncols):
-        if all(m[r][j] == 0 for r in range(nrows)):
-            kernel_cols.append(tuple(u[i][j] for i in range(ncols)))
-    # Columns past pivot_col are exactly the kernel; keep the guard anyway.
-    return kernel_cols
+    matrix A, in Hermite normal form: equal kernels give equal bases."""
+    _, u, rank = _hermite([[row[j] for row in rows] for j in range(ncols)], len(rows))
+    return [tuple(v) for v in _hermite(u[rank:], ncols)[0]]
 
 
 def lattice_basis_of_span(vectors: Sequence[Sequence], ambient_dim: int) -> list[IntVec]:
-    """Integer basis of the saturated lattice span(vectors) ∩ Z^n."""
-    vecs = [v for v in vectors if not is_zero_vec(v)]
-    if not vecs:
-        return []
-    normals = _kernel_rows(*_eliminate(vecs), ambient_dim)
-    if not normals:
-        return [tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)]
-    return list(integer_kernel(normals, ambient_dim))
+    """Integer basis of the saturated lattice span(vectors) ∩ Z^n, in
+    Hermite normal form."""
+    return integer_kernel(_kernel_rows(*_eliminate(vectors), ambient_dim), ambient_dim)
 
 
 def in_span(v: Sequence, vectors: Sequence[Sequence]) -> bool:
@@ -312,7 +293,7 @@ def quotient_generator(
     tau's span. Nothing here builds a ``Fraction``.
     """
     # The functional ell is the first normal nonzero on sigma. Each kernel
-    # row is a positive multiple of the matching ``nullspace`` row, and the
+    # row is a positive multiple of the matching rational kernel row, and the
     # gcd combination below does not change when every value is scaled by
     # the same positive factor, so the result is the one the rational
     # functional gives.
@@ -332,34 +313,10 @@ def quotient_generator(
 
 def _extended_gcd_combo(values: Sequence[int]) -> list[int]:
     """Integer coefficients c with sum(c_i * values_i) = gcd(values) > 0."""
-    coeffs = [0] * len(values)
-    g = 0
-    g_coeffs = [0] * len(values)
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            g_coeffs = [0] * len(values)
-            g_coeffs[i] = 1 if v > 0 else -1
-            continue
-        a, b = g, v
-        # extended gcd of (a, b)
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r != 0:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        new_g = old_r
-        if new_g < 0:
-            new_g, old_s, old_t = -new_g, -old_s, -old_t
-        g_coeffs = [old_s * c for c in g_coeffs]
-        g_coeffs[i] += old_t
-        g = new_g
+    g, coeffs = 0, []
+    for v in values:
+        g, s, t = _xgcd(g, v)
+        coeffs = [s * c for c in coeffs] + [t]
     if g == 0:
         raise ValueError("all values are zero")
-    coeffs = g_coeffs
     return coeffs

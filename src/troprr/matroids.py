@@ -60,10 +60,6 @@ class Matroid:
             r = self._ranks[s] = max((b & s).bit_count() for b in self._basis_masks)
         return r
 
-    def is_independent(self, subset) -> bool:
-        s = frozenset(subset)
-        return self.rank(s) == len(s)
-
     def closure(self, subset) -> frozenset:
         s = frozenset(subset)
         r = self.rank(s)
@@ -96,32 +92,10 @@ class Matroid:
         return out
 
     def delete(self, subset) -> "Matroid":
-        s = frozenset(subset)
-        rest = sorted(self.ground - s)
-        pos = {e: i + 1 for i, e in enumerate(rest)}
-        r = self.rank(rest)
-        bases = []
-        for cand in itertools.combinations(rest, r):
-            if self.is_independent(cand):
-                bases.append(frozenset(pos[e] for e in cand))
-        return Matroid(len(rest), bases, check=False)
+        return flag_minor(self, (), self.ground - frozenset(subset))
 
     def contract(self, subset) -> "Matroid":
-        s = frozenset(subset)
-        rest = sorted(self.ground - s)
-        pos = {e: i + 1 for i, e in enumerate(rest)}
-        rs = self.rank(s)
-        r = self.rank_value - rs
-        bases = []
-        for cand in itertools.combinations(rest, r):
-            if self.rank(s | set(cand)) == rs + len(cand):
-                bases.append(frozenset(pos[e] for e in cand))
-        if not bases:
-            bases = [frozenset()]
-        return Matroid(len(rest), bases, check=False)
-
-    def restrict(self, subset) -> "Matroid":
-        return self.delete(self.ground - frozenset(subset))
+        return flag_minor(self, subset, self.ground)
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -129,10 +129,6 @@ class ToricSurface:
         if k2 + m != 12:
             raise ValueError("Noether check failed; fan data inconsistent")
 
-    @property
-    def num_rays(self) -> int:
-        return len(self.rays)
-
     def canonical_class(self):
         return tuple(-1 for _ in self.rays)
 

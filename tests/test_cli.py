@@ -180,6 +180,23 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
     assert err.count(f"error: {message}") == 2
 
 
+@pytest.mark.parametrize("commands,data,message", [
+    (["curve"], '{"vertices": 0, "edges": []}', "$.vertices: need at least one vertex"),
+    (["curve"], '{"vertices": 2, "edges": [[0, 2]]}', "$.edges: edge endpoint out of range"),
+    (["curve"], '{"vertices": 2, "edges": []}', "$.edges: the curve graph must be connected"),
+    (["csm"], '{"n": 3, "bases": [[1], [1, 2]]}', "$.bases: bases must be equicardinal"),
+    (["csm"], '{"n": 2, "bases": [[1, 3]]}', "$.bases: basis outside the ground set"),
+    (["csm"], '{"n": 13, "bases": [[1]]}', "$.n: expected 0 <= n <= 12"),
+    (["euler", "hypersurface"], '{"n": 2, "terms": [{"exp": [0,0], "coeff": "0"},'
+     ' {"exp": [1,0], "coeff": "0"}]}', "$.terms: Newton polytope must be full-dimensional"),
+], ids=["no-vertex", "endpoint", "disconnected", "unequal-bases", "outside-ground",
+        "ground-size", "not-full-dimensional"])
+def test_invalid_json_input_exits_1_with_json_path(commands, data, message, capsys):
+    for command in commands:
+        assert main([command, data]) == 1
+    assert capsys.readouterr().err.count(f"error: {message}") == len(commands)
+
+
 def test_bertini_rejects_polygons_with_different_normal_fans(capsys):
     assert main(["bertini", '{"vertices": [[0,0],[1,0],[0,1]]}',
                  '{"vertices": [[0,0],[2,0],[0,1],[2,1]]}']) == 1

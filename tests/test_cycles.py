@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from test_linalg import oracle_quotient_generator
 from troprr.cycles import (
@@ -24,19 +26,16 @@ from troprr.hypersurface import (
     is_smooth,
     polynomial_from_heights,
     random_smooth_polynomial,
+    smooth_simplex_polynomial,
     tropical_hypersurface,
 )
 from troprr.linalg import (
-    det,
     in_span,
     is_zero_vec,
     lattice_basis_of_span,
     matrix_rank,
     primitive,
-    solve_linear,
-    vadd,
     vdot,
-    vscale,
     vsub,
 )
 from troprr.polyhedra import (
@@ -150,6 +149,42 @@ def test_continuity_check_rejects_mismatched_pieces():
                 3: ((1, 0), Fraction(0)),
             },
         )
+
+
+def oracle_continuous(cycle, pieces):
+    """Pieces agree at every vertex and on every ray and lineality direction
+    of every shared codimension-1 face, in Fraction arithmetic."""
+    for tau_idx, sigmas in cycle.codim1_cells().items():
+        tau = cycle.complex.cells[tau_idx]
+        for s1, s2 in itertools.combinations(sigmas, 2):
+            (l1, c1), (l2, c2) = pieces[s1], pieces[s2]
+            if any(vdot(l1, v) + c1 != vdot(l2, v) + c2 for v in tau.vertices) or any(
+                    vdot(l1, d) != vdot(l2, d) for d in tau.rays + tau.lineality):
+                return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["plane", "line", "strip"]), st.data())
+def test_continuity_check_matches_vertex_and_direction_agreement(which, data):
+    if which == "strip":
+        # Two half-strips sharing the segment from (1/2, 0) to (1/2, 1).
+        seg = Polyhedron([(Fraction(1, 2), 0), (Fraction(1, 2), 1)])
+        left = Polyhedron([(Fraction(1, 2), 0), (Fraction(1, 2), 1)], rays=[(-1, 0)])
+        right = Polyhedron([(Fraction(1, 2), 0), (Fraction(1, 2), 1)], rays=[(1, 0)])
+        cycle = TropicalCycle(PolyhedralComplex(2, [seg, left, right], {(0, 1), (0, 2)}),
+                              2, {1: 1, 2: 1})
+    else:
+        cycle = plane_cycle() if which == "plane" else tropical_line_cycle()
+    piece = st.tuples(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0)]),
+                      st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1)]))
+    pieces = {i: data.draw(piece) for i in cycle.weights}
+    try:
+        CartierFunction(cycle, pieces)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == oracle_continuous(cycle, pieces)
 
 
 def test_divisor_invariant_under_constant_shift():
@@ -288,33 +323,25 @@ def test_memoized_normals_match_fraction_path_on_dual_complexes(n, d, seed):
     assert checked > 0
 
 
-# -- relative uniformity, against the Fraction Gram path it replaced -------------
+# -- relative uniformity, against a Smith normal form oracle --------------------
 
 
-def _reduce_mod_subspace(v, sub_vecs, ambient_basis):
-    """Component of v modulo the subspace spanned by sub_vecs (inside the span
-    of ambient_basis); None if v is outside the ambient span."""
-    if not in_span(v, ambient_basis):
-        return None
-    if not sub_vecs:
-        return tuple(v)
-    # Orthogonal-complement reduction: subtract the projection solving the
-    # Gram system; linear in v and vanishing exactly on the subspace, so it is
-    # a class invariant of v modulo the subspace.
-    k = len(sub_vecs)
-    gram = [[vdot(sub_vecs[i], sub_vecs[j]) for j in range(k)] for i in range(k)]
-    rhs = [vdot(sub_vecs[i], v) for i in range(k)]
-    c = solve_linear(gram, rhs)
-    out = tuple(v)
-    for ci, sv in zip(c, sub_vecs):
-        out = vsub(out, vscale(ci, sv))
-    return out
+def quotient_coordinates(ly):
+    """x -> coordinates of x in Z^n / (span(ly) ∩ Z^n) for a basis ly of a
+    saturated lattice, read off sympy's Smith normal form S = U M V of the
+    matrix M with columns ly: U maps that lattice onto the first len(ly)
+    coordinate axes."""
+    if not ly:
+        return tuple
+    s, u, _ = smith_normal_decomp(Matrix(ly).T)
+    assert all(s[i, i] == 1 for i in range(len(ly)))
+    return lambda x: tuple(u[len(ly):, :] * Matrix(x))
 
 
 def oracle_relatively_uniform(y_local, x_local):
-    """relatively_uniform as it was computed in Fraction arithmetic: classes
-    modulo lineal(Y) by a Gram projection, the lattice-basis test by the
-    determinant of coordinates in a basis of the saturated lattice of W."""
+    """relatively_uniform computed by sympy: classes modulo lineal(Y) in
+    Smith normal form coordinates, and every r-subset of them tested for a
+    lattice basis by its invariant factors."""
     n = x_local.ambient_dim
     x_max = x_local.maximal_cells()
     lx = lineality_space(x_local)
@@ -344,49 +371,28 @@ def oracle_relatively_uniform(y_local, x_local):
         if all(c.dim == m for c in y_cells):
             return UniformityResult("true")
         return UniformityResult("false", "expected a linear local cone for r=1")
-    ly_vecs = [tuple(Fraction(c) for c in b) for b in ly]
-    class_reps: dict[tuple, tuple] = {}
+    coords = quotient_coordinates(ly)
+    classes, cones = set(), []
     for c in y_cells:
         for l in c.lineality:
-            lv = tuple(Fraction(x) for x in l)
-            if not in_span(lv, ly_vecs):
+            if not in_span(l, ly):
                 return UniformityResult("false", "cell lineality exceeds Y's lineality")
+        cone = set()
         for ray in c.rays:
-            rv = tuple(Fraction(x) for x in ray)
-            red = _reduce_mod_subspace(rv, ly_vecs, w_basis)
-            if red is None:
-                return UniformityResult("false", "ray not inside the ambient span")
-            if is_zero_vec(red):
+            image = coords(ray)
+            if is_zero_vec(image):
                 return UniformityResult("false", "a ray collapses into the lineality space")
-            key = primitive(red)
-            prev = class_reps.get(key)
-            if prev is not None and not is_zero_vec(
-                _reduce_mod_subspace(vsub(rv, prev), ly_vecs, w_basis)
-            ):
-                return UniformityResult("false", "overlapping non-equal rays in the quotient")
-            class_reps.setdefault(key, tuple(Fraction(x) for x in ray))
-    reps = [class_reps[k] for k in sorted(class_reps)]
-    if len(reps) != r + 1:
-        return UniformityResult("false", f"expected {r + 1} rays after quotient, got {len(reps)}")
-    total = tuple(Fraction(0) for _ in range(n))
-    for rep in reps:
-        total = vadd(total, rep)
-    if not (is_zero_vec(total) or (ly_vecs and in_span(total, ly_vecs))):
+            cone.add(primitive(image))
+        if cone in cones:
+            return UniformityResult("false", "overlapping non-equal rays in the quotient")
+        cones.append(cone)
+        classes |= cone
+    if len(classes) != r + 1:
+        return UniformityResult("false", f"expected {r + 1} rays after quotient, got {len(classes)}")
+    if not is_zero_vec([sum(xs) for xs in zip(*classes)]):
         return UniformityResult("false", "quotient rays do not sum to zero")
-    w_lattice = lattice_basis_of_span(w_basis, n)
-    rows = list(zip(*w_lattice))
-
-    def w_coords(v):
-        sol = solve_linear([list(row) for row in rows], v)
-        if sol is None:
-            raise ValueError("vector outside the ambient span")
-        return sol
-
-    ly_coords = [w_coords(b) for b in ly_vecs]
-    rep_coords = [w_coords(rep) for rep in reps]
-    for subset in itertools.combinations(range(r + 1), r):
-        mat = ly_coords + [rep_coords[i] for i in subset]
-        if abs(det(mat)) != 1:
+    for subset in itertools.combinations(sorted(classes), r):
+        if invariant_factors(Matrix(subset)) != (1,) * r:
             return UniformityResult("false", "a ray subset is not a lattice basis")
     return UniformityResult("true")
 
@@ -500,6 +506,27 @@ def test_the_examples_reach_every_false_branch():
         "quotient rays do not sum to zero",
         "a ray subset is not a lattice basis",
     ]
+
+
+def test_relatively_uniform_takes_primitive_classes_modulo_a_skew_lineality():
+    # Modulo (1,1,1) the rays are 3 times the classes of -e1, -e2 and e1 + e2:
+    # the local fan is R x (tropical line), though the rays' images under the
+    # span normals (1,0,-1), (0,1,-1) are (-3,0), (0,-3) and (3,3).
+    y, x = local_pair(3, [[(-2, 1, 1)], [(1, -2, 1)], [(1, 1, -2)]], [(1, 1, 1)])
+    assert relatively_uniform(y, x) == UniformityResult("true")
+
+
+@pytest.mark.parametrize("d,edges", [(2, 24), (3, 72)])
+def test_relatively_uniform_at_every_edge_of_a_smooth_surface_in_r3(d, edges):
+    """Locally R x (tropical line) at every edge, bounded or not."""
+    surface = tropical_hypersurface(smooth_simplex_polynomial(3, d))
+    c = surface.complex
+    cells = [i for i in c.faces_closure(surface.support_cells()) if c.cells[i].dim == 1]
+    assert len(cells) == edges
+    ambient = linear_fan([E1, E2, E3])
+    for i in cells:
+        y = local_cycle(surface, c.cells[i].relative_interior_point())
+        assert relatively_uniform(y, ambient) == UniformityResult("true"), i
 
 
 @pytest.mark.parametrize("n,d,seeds", [(2, 2, range(6)), (2, 3, range(6)), (3, 2, range(4))])

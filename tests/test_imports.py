@@ -1,13 +1,15 @@
 """Every name a troprr module imports with ``from ... import`` is used in the
-module, and every private helper the package defines is used in the
-package. Standard library only: the modules are parsed, not imported."""
+module, every private helper the package defines is used in the package,
+and every public function is used in the package, its tests, demos or
+benchmark. Standard library only: the modules are parsed, not imported."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "troprr"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "troprr"
 
 
 def unused_from_imports(source: str) -> list[str]:
@@ -32,28 +34,38 @@ def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
 
 
-def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions and single-underscore methods that no
-    name or attribute anywhere in the given sources refers to."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def referenced_names(sources) -> set[str]:
+    """Every name, attribute and imported name in the given sources."""
     used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    return used
+
+
+def defined_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each module-level function and method."""
     defined = []
-    for name, tree in trees.items():
-        for node in tree.body:
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
             functions = [node] if isinstance(node, ast.FunctionDef) else (
                 [f for f in node.body if isinstance(f, ast.FunctionDef)]
                 if isinstance(node, ast.ClassDef) else [])
-            defined += [f"{name}:{f.name}" for f in functions
-                        if f.name.startswith("_") and not f.name.startswith("__")]
-    return [d for d in defined if d.split(":")[1] not in used]
+            defined += [(module, f.name) for f in functions]
+    return defined
+
+
+def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and single-underscore methods that no
+    name or attribute anywhere in the given sources refers to."""
+    used = referenced_names(sources.values())
+    return [f"{module}:{name}" for module, name in defined_functions(sources)
+            if name.startswith("_") and not name.startswith("__") and name not in used]
 
 
 def test_the_helper_check_sees_unreferenced_private_helpers():
@@ -68,3 +80,29 @@ def test_the_helper_check_sees_unreferenced_private_helpers():
 def test_every_private_helper_is_referenced_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_helpers(sources) == []
+
+
+def unreferenced_public_functions(sources: dict[str, str], users: list[str]) -> list[str]:
+    """Public module-level functions and methods of the given sources that no
+    name or attribute in the sources or in the user code refers to."""
+    used = referenced_names([*sources.values(), *users])
+    return [f"{module}:{name}" for module, name in defined_functions(sources)
+            if not name.startswith("_") and name not in used]
+
+
+def test_the_public_function_check_sees_unreferenced_functions():
+    sources = {"a": "def called():\n    pass\ndef dead():\n    pass\n"
+                    "def _private():\n    pass\n",
+               "b": "class C:\n    def __init__(self):\n        pass\n"
+                    "    def method(self):\n        pass\n"
+                    "    def unused(self):\n        pass\n"
+                    "    @property\n    def size(self):\n        return 0\n"}
+    users = ["from a import called\ncalled()\n", "def f(c):\n    return c.method(), c.size\n"]
+    assert unreferenced_public_functions(sources, users) == ["a:dead", "b:unused"]
+
+
+def test_every_public_function_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    users = [path.read_text() for folder in ("tests", "demos", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unreferenced_public_functions(sources, users) == []

@@ -1,8 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
 from troprr.linalg import (
     _eliminate,
@@ -14,7 +17,6 @@ from troprr.linalg import (
     integer_kernel,
     lattice_basis_of_span,
     matrix_rank,
-    nullspace,
     primitive,
     quotient_generator,
     rref,
@@ -22,6 +24,26 @@ from troprr.linalg import (
     solve_linear,
     vdot,
 )
+
+
+def nullspace(rows):
+    """Basis of {x : A x = 0} over the rationals: one vector per free column
+    of the reduced row echelon form, 1 there and 0 in the other free
+    columns. The oracle for the integer kernels."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots = _eliminate(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(tuple(v))
+    return basis
 
 
 def test_primitive_scaling():
@@ -278,3 +300,51 @@ def oracle_lattice_basis_of_span(vectors, ambient_dim):
 def test_lattice_basis_of_span_matches_fraction_nullspace_normals(rows):
     n = len(rows[0])
     assert lattice_basis_of_span(rows, n) == oracle_lattice_basis_of_span(rows, n)
+
+
+# -- the Hermite normal form against sympy's Smith normal form ----------------
+
+
+def sympy_kernel(rows, ncols):
+    """Integer kernel of A from sympy's Smith normal form S = U A V: the
+    columns of V past the rank of S."""
+    if not rows:
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+    s, _, v = smith_normal_decomp(Matrix(rows))
+    rank = sum(1 for i in range(min(s.shape)) if s[i, i])
+    return [tuple(v[:, j]) for j in range(rank, ncols)]
+
+
+def lattice_hnf(basis):
+    """sympy's Hermite normal form of the lattice spanned by the basis."""
+    return hermite_normal_form(Matrix(basis).T) if basis else None
+
+
+@st.composite
+def integer_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+                         max_size=4)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(), st.randoms(use_true_random=False),
+       st.lists(st.integers(1, 4) | st.integers(-4, -1), min_size=4, max_size=4))
+def test_integer_kernel_matches_smith_normal_form(matrix, rng, scales):
+    rows, ncols = matrix
+    ker = integer_kernel(rows, ncols)
+    expected = sympy_kernel(rows, ncols)
+    assert len(ker) == len(expected)
+    assert all(vdot(row, v) == 0 for row in rows for v in ker)
+    assert lattice_hnf(ker) == lattice_hnf(expected)
+    # Canonical: the same kernel from permuted, rescaled rows is the same basis.
+    moved = [[c * x for x in row] for c, row in zip(scales, rows)]
+    rng.shuffle(moved)
+    assert integer_kernel(moved, ncols) == ker
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6).filter(any))
+def test_extended_gcd_combo_sums_to_the_gcd(values):
+    coeffs = _extended_gcd_combo(values)
+    assert len(coeffs) == len(values)
+    assert sum(c * v for c, v in zip(coeffs, values)) == gcd(*values)

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_linalg import nullspace
 from troprr.cycles import power_tower
 from troprr.hypersurface import (
     TropicalPolynomial,
@@ -19,7 +20,6 @@ from troprr.linalg import (
     in_span,
     is_zero_vec,
     matrix_rank,
-    nullspace,
     primitive,
     rref,
     sign_normalize,
