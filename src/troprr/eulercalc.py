@@ -68,8 +68,11 @@ def face_polynomial(g: TropicalPolynomial, p: LatticePolytope,
     dirs = [vsub(v, base) for v in fverts[1:]]
     n = p.ambient_dim
     basis = lattice_basis_of_span(dirs, n)
-    tight_normals = [primitive(tuple(-c for c in h[1:])) for h in p.polyhedron().hrep()[1]
-                     if any(h[1:]) and all(vdot(h, (1,) + v) == 0 for v in fverts)]
+    on_face = sum(1 << p.vertices.index(v) for v in fverts)
+    poly = p.polyhedron()
+    tight_normals = [primitive(tuple(-c for c in h[1:]))
+                     for h, z in zip(poly.hrep()[1], poly.facet_generators())
+                     if z & on_face == on_face]
     u = tuple(sum(t[i] for t in tight_normals) for i in range(n))
     vals = {e: vdot(e, u) for e in g.terms}
     m = max(vals.values())

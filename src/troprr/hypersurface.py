@@ -111,27 +111,29 @@ def regular_subdivision(f: TropicalPolynomial) -> RegularSubdivision:
     conv{(a, c_a)} + cone{-e_(n+1)}: an inequality b0 + <b, a> + bh h >= 0
     with bh < 0 is an upper facet, whose tight exponents form a maximal cell
     with dual vertex b / bh; one with bh == 0 and b != 0 is a Newton-polytope
-    facet with outer normal -b."""
+    facet with outer normal -b. The tight exponents are read off the facet
+    incidence: the lifted vertices come in the order of the sorted
+    exponents, so bit i is the i-th exponent."""
     n = f.n
     p = newton_polytope(f)
     if p.dim != n:
         raise ValueError("Newton polytope must be full-dimensional")
-    terms = sorted(f.terms.items())
-    lifted = Polyhedron([e + (c,) for e, c in terms], rays=[(0,) * n + (-1,)])
-    _eqs, ineqs = lifted.hrep()
+    exps = sorted(f.terms)
+    lifted = Polyhedron([e + (f.terms[e],) for e in exps], rays=[(0,) * n + (-1,)])
+    assert [v[:n] for v in lifted.vertices] == exps
     cells, facets = [], []
-    for h in ineqs:
+    for h, z in zip(lifted.hrep()[1], lifted.facet_generators()):
         b, bh = h[1:-1], h[-1]
-        tight = frozenset(e for e, c in terms if h[0] + vdot(b, e) + bh * c == 0)
+        tight = frozenset(e for i, e in enumerate(exps) if z >> i & 1)
         if bh < 0:
             cells.append((tight, tuple(Fraction(bi, bh) for bi in b)))
         elif any(b):
             facets.append((tight, primitive(tuple(-bi for bi in b))))
     maximal = sorted(cells, key=lambda t: sorted(t[0]))
     total = sum(
-        normalized_volume(sorted(exps)) if len(exps) == n + 1
-        else polytope_normalized_volume(LatticePolytope(list(exps)))
-        for exps, _ in maximal
+        normalized_volume(sorted(cell)) if len(cell) == n + 1
+        else polytope_normalized_volume(LatticePolytope(list(cell)))
+        for cell, _ in maximal
     )
     if total != polytope_normalized_volume(p):
         raise ValueError("subdivision cells do not cover the Newton polytope")

@@ -62,6 +62,12 @@ def _int_vec(v, path: str):
     return tuple(_int(c, f"{path}[{i}]") for i, c in enumerate(v))
 
 
+def _finite(s, path: str) -> Fraction:
+    x = frac_from_str(s, path)
+    _expect(x is not NEG_INF, path, "expected a finite rational")
+    return x
+
+
 # -- polyhedral complexes -----------------------------------------------------------
 
 
@@ -98,7 +104,7 @@ def complex_from_json(data: dict, path: str = "$") -> PolyhedralComplex:
     for i, p in enumerate(raw_points):
         _expect(isinstance(p, list) and len(p) == n, f"{path}.points[{i}]",
                 f"expected {n} coordinates")
-        points.append(tuple(frac_from_str(x, f"{path}.points[{i}][{j}]")
+        points.append(tuple(_finite(x, f"{path}.points[{i}][{j}]")
                             for j, x in enumerate(p)))
     raw_cells = data.get("cells")
     _expect(isinstance(raw_cells, list), f"{path}.cells", "expected a list")
@@ -113,7 +119,7 @@ def complex_from_json(data: dict, path: str = "$") -> PolyhedralComplex:
                 for j, r in enumerate(cdata.get("rays", []))]
         lin = [_int_vec(l, f"{cpath}.lineality[{j}]")
                for j, l in enumerate(cdata.get("lineality", []))]
-        cells.append(Polyhedron([points[v] for v in vidx], rays, lin))
+        cells.append(_at(cpath, Polyhedron, [points[v] for v in vidx], rays, lin))
     relation = []
     for i, pair in enumerate(data.get("face_relation", [])):
         rpath = f"{path}.face_relation[{i}]"
@@ -141,11 +147,12 @@ def cycle_from_json(data: dict, path: str = "$") -> TropicalCycle:
     _expect(isinstance(raw, dict), f"{path}.weights", "expected an object")
     weights = {}
     for k, w in raw.items():
-        _expect(k.lstrip("-").isdigit(), f"{path}.weights", f"bad cell index {k!r}")
+        _expect(k.isdigit() and int(k) < len(c.cells), f"{path}.weights",
+                f"bad cell index {k!r}")
         weights[int(k)] = _int(w, f"{path}.weights[{k}]")
     dim = _int(data.get("dim"), f"{path}.dim") if "dim" in data else max(
         (c.cells[i].dim for i in weights), default=0)
-    return TropicalCycle(c, dim, weights)
+    return _at(f"{path}.weights", TropicalCycle, c, dim, weights)
 
 
 def cartier_to_json(phi: CartierFunction) -> dict:
@@ -221,9 +228,7 @@ def polynomial_from_json(data: dict, path: str = "$") -> TropicalPolynomial:
         _expect(isinstance(tdata, dict), tpath, "expected an object")
         e = _int_vec(tdata.get("exp"), f"{tpath}.exp")
         _expect(len(e) == n, f"{tpath}.exp", f"expected {n} exponents")
-        c = frac_from_str(tdata.get("coeff"), f"{tpath}.coeff")
-        _expect(c is not NEG_INF, f"{tpath}.coeff", "expected a finite rational")
-        terms[e] = c
+        terms[e] = _finite(tdata.get("coeff"), f"{tpath}.coeff")
     e0 = next(iter(terms))
     _expect(matrix_rank([[a - b for a, b in zip(e, e0)] for e in terms]) == n,
             f"{path}.terms", "Newton polytope must be full-dimensional")

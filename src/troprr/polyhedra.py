@@ -3,17 +3,19 @@ complexes with explicit face relations, local cones, lineality spaces,
 sedentarity, and lattice-point enumeration.
 
 All polyhedra are stored as vertices + rays + lineality generators over exact
-rationals; half-space representations are derived on demand, in primitive
-integer rows, and cached. Containment tests evaluate those integer rows on a
-positive integer multiple of the homogenized point or direction. Both
-conversions are one integer double description (``_extreme_rays``): H->V
-on the homogenized cone with its lineality turned into equalities, so that
-the vertices and rays it returns are orthogonal to the lineality, and V->H
-on the dual cone. A pointed polyhedron is canonicalized without H->V, by
-the rank of the rows tight at each of its generators. ``cone_in_union``
-splits its pieces with the same double-description cut (``_cut``), on
-integer generators. Faces are enumerated once, as intersections of facet
-point sets (``_faces_from_facets``), with no H-representation per face.
+rationals. The half-space representation is derived on demand, once, in
+primitive integer rows, with its facet incidence: per inequality, the bitmask
+of the generators it vanishes on (``facet_generators``). Containment tests
+evaluate the rows on a positive integer multiple of the homogenized point or
+direction. Both conversions are one integer double description
+(``_extreme_rays``): H->V on the homogenized cone with its lineality turned
+into equalities, so that the vertices and rays it returns are orthogonal to
+the lineality, and V->H on the dual cone, whose zero sets are the incidence.
+Canonicalizing a pointed polyhedron, the faces of a lattice polytope (as
+intersections of facet point sets, ``_faces_from_facets``) and its fan
+triangulation read the incidence instead of evaluating rows.
+``cone_in_union`` splits its pieces with the same double-description cut
+(``_cut``), on integer generators.
 """
 
 from __future__ import annotations
@@ -120,8 +122,6 @@ class Polyhedron:
         if not vs:
             raise ValueError("a polyhedron needs at least one vertex/base point")
         self.ambient_dim = len(vs[0])
-        if any(len(v) != self.ambient_dim for v in vs):
-            raise ValueError("inconsistent ambient dimensions")
         self.vertices = tuple(sorted(set(vs)))
         self.rays = tuple(sorted(set(primitive(r) for r in rays)))
         lin = []
@@ -130,12 +130,13 @@ class Polyhedron:
             if lv not in lin:
                 lin.append(lv)
         self.lineality = tuple(sorted(lin))
+        if any(len(v) != self.ambient_dim for v in vs + self.rays + self.lineality):
+            raise ValueError("inconsistent ambient dimensions")
         self._hrep = None
-        self._int_hrep = None
+        self._facet_gens = None
         self._gens = None
         self._int_dirs = None
         self._perp = None
-        self._dim = None
         self._lattice = None
 
     # -- basic geometry ----------------------------------------------------
@@ -156,9 +157,7 @@ class Polyhedron:
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
-            self._dim = matrix_rank(self._integer_directions())
-        return self._dim
+        return self.ambient_dim - len(self._span_normals())
 
     def _span_normals(self) -> list[IntVec]:
         """Primitive integer covectors spanning those that vanish on the
@@ -193,23 +192,24 @@ class Polyhedron:
         """(equalities, inequalities) in homogeneous coordinates: a point x is
         in the polyhedron iff  e . (1, x) == 0 for all equalities and
         f . (1, x) >= 0 for all inequalities. Every row is a primitive
-        integer vector with Fraction entries."""
+        integer tuple. Computed once, with ``facet_generators``."""
         if self._hrep is None:
-            self._int_hrep = _hrep_from_vrep(self)
-            self._hrep = tuple([tuple(Fraction(c) for c in row) for row in rows]
-                               for rows in self._int_hrep)
+            eqs, ineqs, self._facet_gens = _hrep_from_vrep(self)
+            self._hrep = (eqs, ineqs)
         return self._hrep
 
-    def _integer_hrep(self):
-        """hrep() with the same rows as integer tuples."""
-        if self._int_hrep is None:
-            self.hrep()
-        return self._int_hrep
+    def facet_generators(self) -> list[int]:
+        """The facet incidence: for each inequality of ``hrep()``, the bitmask
+        of the homogeneous generators it vanishes on, bit i for
+        ``_homogeneous_generators(self)[i]`` (the vertices, then the rays,
+        then each lineality vector and its negative)."""
+        self.hrep()
+        return self._facet_gens
 
     def _satisfies(self, h: IntVec) -> bool:
         """Whether the H-representation holds at h, a positive integer
         multiple of a homogeneous point (1, x) or direction (0, d)."""
-        eqs, ineqs = self._integer_hrep()
+        eqs, ineqs = self.hrep()
         return all(vdot(e, h) == 0 for e in eqs) and all(vdot(f, h) >= 0 for f in ineqs)
 
     def contains(self, point) -> bool:
@@ -233,17 +233,25 @@ class Polyhedron:
         """Irredundant V-representation recomputed from the H-representation.
 
         When the H-rep rows have rank n + 1 the polyhedron is pointed, so its
-        vertices and extreme rays are the given generators whose tight rows
-        have rank n. The polyhedron returned is the same set, so it keeps
-        this H-rep (the rows in this polyhedron's order)."""
-        eqs, ineqs = self._integer_hrep()
-        rows, n = eqs + ineqs, self.ambient_dim
-        if matrix_rank(rows) == n + 1:
-            def extreme(h):
-                return matrix_rank([a for a in rows if vdot(a, h) == 0]) == n
-            poly = Polyhedron([v for v in self.vertices if extreme(_homogenized(1, v))],
-                              [r for r in self.rays if extreme((0,) + r)])
-            poly._hrep, poly._int_hrep = self._hrep, self._int_hrep
+        vertices and extreme rays are the given generators alone on the
+        smallest face through them: those whose set of facets (read off
+        ``facet_generators``) is in no other generator's. The polyhedron
+        returned is the same set, so it keeps this H-rep (the rows in this
+        polyhedron's order) and the incidence, re-indexed to the kept
+        generators."""
+        eqs, ineqs = self.hrep()
+        n, nv = self.ambient_dim, len(self.vertices)
+        if matrix_rank(eqs + ineqs) == n + 1:
+            masks = self.facet_generators()
+            on = [sum(1 << k for k, z in enumerate(masks) if z >> i & 1)
+                  for i in range(nv + len(self.rays))]
+            keep = [i for i, s in enumerate(on)
+                    if not any(t & s == s for j, t in enumerate(on) if j != i)]
+            poly = Polyhedron([self.vertices[i] for i in keep if i < nv],
+                              [self.rays[i - nv] for i in keep if i >= nv])
+            poly._hrep = self._hrep
+            poly._facet_gens = [sum(1 << j for j, i in enumerate(keep) if z >> i & 1)
+                                for z in masks]
             return poly
         poly = polyhedron_from_hrep(eqs, ineqs, n)
         if poly is None:
@@ -280,9 +288,10 @@ def _hrep_from_vrep(poly: Polyhedron):
     integer basis B of span(G), of dimension d. A facet normal lies in
     span(G), so it is sum(lam_i B_i) for an extreme ray lam of the pointed
     cone {lam : (B g) . lam >= 0 for every generator g} in Q^d
-    (`_extreme_rays`), and that ray's zero set is the facet's tight
-    generators. For d <= 1 the cone is the ray of its one generator g, and
-    its one inequality is primitive(g).
+    (`_extreme_rays`), and that ray's zero set is the bitmask of the facet's
+    tight generators, returned with its row. For d <= 1 the cone is the ray
+    of its one generator g, and its one inequality is primitive(g), tight on
+    no generator.
 
     The facets come in the order in which trying every (d - 1)-subset of
     generators in `combinations` order would first find them: sorted by the
@@ -295,7 +304,7 @@ def _hrep_from_vrep(poly: Polyhedron):
     eqs = _kernel_rows(m, pivots, n + 1)
     d = len(pivots)
     if d <= 1:
-        return eqs, [primitive(gens[0])]
+        return eqs, [primitive(gens[0])], [0]
     basis = m[:d]
     rows = [tuple(vdot(b, g) for b in basis) for g in gens]
     cols = list(zip(*basis))
@@ -304,9 +313,9 @@ def _hrep_from_vrep(poly: Polyhedron):
         tight = [i for i in range(len(rows)) if zeros >> i & 1]
         if len(tight) > d - 1:
             tight = [tight[k] for k in _greedy_basis([rows[i] for i in tight])]
-        keyed.append((tight, primitive([vdot(lam, col) for col in cols])))
+        keyed.append((tight, primitive([vdot(lam, col) for col in cols]), zeros))
     keyed.sort()
-    return eqs, [nrm for _, nrm in keyed]
+    return eqs, [nrm for _, nrm, _ in keyed], [zeros for *_, zeros in keyed]
 
 
 def _greedy_basis(vectors) -> list[int]:
@@ -394,8 +403,8 @@ def polyhedron_from_hrep(equalities, inequalities, ambient_dim: int) -> Polyhedr
 
 
 def intersect_polyhedra(p: Polyhedron, q: Polyhedron) -> Polyhedron | None:
-    peq, pineq = p._integer_hrep()
-    qeq, qineq = q._integer_hrep()
+    peq, pineq = p.hrep()
+    qeq, qineq = q.hrep()
     return polyhedron_from_hrep(peq + qeq, pineq + qineq, p.ambient_dim)
 
 
@@ -497,7 +506,7 @@ def validate_complex(c: PolyhedralComplex) -> ValidationReport:
             violations.append(f"face relation ({a},{b}): face not contained in cofacet")
     # Geometric facets of each cell must be cells of the complex.
     for i, cell in enumerate(c.cells):
-        eqs, ineqs = cell._integer_hrep()
+        eqs, ineqs = cell.hrep()
         for f in ineqs:
             if not any(f[1:]):
                 continue
@@ -532,7 +541,7 @@ def local_cone(c: PolyhedralComplex, x) -> PolyhedralComplex:
     keys = {}
     index_map = {}
     for i in containing:
-        eqs, ineqs = c.cells[i]._integer_hrep()
+        eqs, ineqs = c.cells[i].hrep()
         # Tangent cone at x: homogeneous parts of the tight constraints.
         heqs = [(0,) + e[1:] for e in eqs if any(e[1:])]
         hineqs = [(0,) + f[1:] for f in ineqs if vdot(f, hx) == 0 and any(f[1:])]
@@ -634,7 +643,7 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
     # those whose row forbids side s.
     masks = []
     for k, c in enumerate(cones):
-        eqs, ineqs = c._integer_hrep()
+        eqs, ineqs = c.hrep()
         row = []
         for j, a in enumerate(eqs + ineqs):
             h = sign_normalize(a)
@@ -691,7 +700,7 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
         return True
     # The adjacency test of `_cut` holds only for the extreme generators.
     q = p.canonicalize()
-    facets = p._integer_hrep()[1]
+    facets = p.hrep()[1]
     gens = [primitive((1,) + v) for v in q.vertices] + [(0,) + r for r in q.rays]
     zeros = [sum(1 << i for i, f in enumerate(facets) if vdot(f, g) == 0) for g in gens]
     lin = [(0,) + l for l in q.lineality]
@@ -767,16 +776,16 @@ class LatticePolytope:
     def interior_lattice_points(self) -> list[IntVec]:
         if self.dim < self.ambient_dim:
             return []
-        facets = [f for f in self._poly._integer_hrep()[1] if any(f[1:])]
-        return [p for p in self.lattice_points() if all(vdot(f, (1,) + p) > 0 for f in facets)]
+        return [p for p in self.lattice_points()
+                if all(vdot(f, (1,) + p) > 0 for f in self._poly.hrep()[1])]
 
     def faces(self) -> list[tuple[int, tuple[IntVec, ...]]]:
         """All nonempty faces, the polytope itself included, as (dim, vertex
-        tuple), sorted: the vertex sets of its facets closed under
-        intersection."""
-        facets = [[v for v in self.vertices if vdot(f, (1,) + v) == 0]
-                  for f in self._poly._integer_hrep()[1] if any(f[1:])]
-        return _faces_from_facets([self.vertices], facets)
+        tuple), sorted: the vertex sets of its facets, read off the facet
+        incidence, closed under intersection."""
+        return _faces_from_facets([self.vertices], [
+            [v for i, v in enumerate(self.vertices) if z >> i & 1]
+            for z in self._poly.facet_generators()])
 
     def __eq__(self, other):
         return isinstance(other, LatticePolytope) and self.vertices == other.vertices
@@ -811,14 +820,6 @@ def _faces_from_facets(tops, facets) -> list[tuple[int, tuple]]:
     return sorted(out)
 
 
-def lattice_points(p: LatticePolytope) -> list[IntVec]:
-    return p.lattice_points()
-
-
-def interior_lattice_points(p: LatticePolytope) -> list[IntVec]:
-    return p.interior_lattice_points()
-
-
 def normalized_volume(simplex_points) -> int:
     """|det| of the edge matrix of a full-dimensional lattice simplex."""
     pts = [tuple(int(c) for c in p) for p in simplex_points]
@@ -835,36 +836,21 @@ def normalized_volume(simplex_points) -> int:
 def polytope_normalized_volume(p: LatticePolytope) -> int:
     """Normalized volume (n! * euclidean volume) of a full-dimensional lattice
     polytope, by fan triangulation from a base vertex over the facets."""
-    n = p.ambient_dim
-    if p.dim != n:
+    if p.dim != p.ambient_dim:
         raise ValueError("normalized volume needs a full-dimensional polytope")
-    total = 0
-    for simplex in _fan_triangulation(list(p.vertices), p.polyhedron()):
-        total += normalized_volume(simplex)
-    return total
+    return sum(normalized_volume(s) for s in _fan_triangulation(p.polyhedron()))
 
 
-def _fan_triangulation(vertices, poly: Polyhedron):
-    """Triangulate a polytope, given by its vertices and as their Polyhedron
-    (whose H-rep is reused), by coning a base vertex over triangulations of
-    the facets not containing it."""
-    d = poly.dim
-    if len(vertices) == d + 1:
-        return [list(vertices)]
-    base = vertices[0]
-    simplices = []
-    for f in poly._integer_hrep()[1]:
-        if vdot(f, (1,) + base) == 0:
-            continue
-        facet_verts = [v for v in vertices if vdot(f, (1,) + v) == 0]
-        if not facet_verts:
-            continue
-        facet = Polyhedron(facet_verts)
-        if facet.dim != d - 1:
-            continue
-        for sub in _fan_triangulation(facet_verts, facet):
-            simplices.append([base] + sub)
-    return simplices
+def _fan_triangulation(poly: Polyhedron):
+    """Triangulate a polytope, given as the Polyhedron of its vertices (whose
+    H-rep is reused), by coning its first vertex over triangulations of the
+    facets not containing it, each read off the facet incidence."""
+    vs = poly.vertices
+    if len(vs) == poly.dim + 1:
+        return [list(vs)]
+    facets = [Polyhedron([v for i, v in enumerate(vs) if z >> i & 1])
+              for z in poly.facet_generators() if not z & 1]
+    return [[vs[0]] + sub for facet in facets for sub in _fan_triangulation(facet)]
 
 
 def standard_simplex(n: int, d: int = 1) -> LatticePolytope:

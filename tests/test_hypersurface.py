@@ -326,10 +326,10 @@ BOX = {1: (5, 6), 2: (3, 9), 3: (2, 9)}
 
 
 @st.composite
-def random_polynomials(draw):
+def random_polynomials(draw, dims=(1, 2, 3)):
     """Random exponents in a small box (so lattice points go missing) with
     integer, rational, all-equal or concave-plus-jitter heights."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.sampled_from(dims))
     top, size = BOX[n]
     exps = draw(st.lists(st.tuples(*[st.integers(0, top)] * n),
                          min_size=n + 1, max_size=size, unique=True))
@@ -365,6 +365,39 @@ def test_lifted_subdivision_matches_enumeration(f):
     assert len(set(sub.facets)) == len(sub.facets)
     assert set(sub.facets) == enumerating_facets(f)
     assert sub.faces() == per_cell_faces(sub)
+
+
+def fraction_evaluated_subdivision(f):
+    """Reference maximal cells and Newton facets: the rows of the lifted
+    polytope's H-rep, each evaluated in Fraction at every lifted term to find
+    the exponents it is tight on."""
+    n = f.n
+    terms = sorted(f.terms.items())
+    lifted = Polyhedron([e + (c,) for e, c in terms], rays=[(0,) * n + (-1,)])
+    cells, facets = [], []
+    for h in lifted.hrep()[1]:
+        h = tuple(Fraction(c) for c in h)
+        b, bh = h[1:-1], h[-1]
+        tight = frozenset(e for e, c in terms if h[0] + vdot(b, e) + bh * c == 0)
+        if bh < 0:
+            cells.append((tight, tuple(bi / bh for bi in b)))
+        elif any(b):
+            facets.append((tight, primitive(tuple(-bi for bi in b))))
+    return sorted(cells, key=lambda t: sorted(t[0])), facets
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polynomials(dims=(2, 3)))
+@example(SQUARES)
+# exponents inside every edge of 2*Delta_2 and inside the faces of 2*Delta_3
+@example(TropicalPolynomial(2, {p: 0 for p in standard_simplex(2, 2).lattice_points()}))
+@example(TropicalPolynomial(3, {p: -(p == (1, 1, 0)) for p in
+                                standard_simplex(3, 3).lattice_points()}))
+@example(smooth_simplex_polynomial(3, 2))
+def test_subdivision_incidence_matches_fraction_evaluation(f):
+    assume(newton_polytope(f).dim == f.n)
+    sub = regular_subdivision(f)
+    assert (sub.maximal_cells, sub.facets) == fraction_evaluated_subdivision(f)
 
 
 def test_subdivision_faces_take_no_h_rep(monkeypatch):

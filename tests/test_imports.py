@@ -34,38 +34,54 @@ def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
 
 
-def referenced_names(sources) -> set[str]:
-    """Every name, attribute and imported name in the given sources."""
-    used = set()
+def referenced_names(sources) -> tuple[set[str], set[str]]:
+    """(names, attributes) in the given sources: every bare name, imported
+    name and attribute of an imported troprr module; and every attribute."""
+    names, attributes = set(), set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name for alias in node.names
+                               if alias.name.startswith("troprr."))
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module == "troprr" or node.level and not node.module):
+                modules.update(alias.asname or alias.name for alias in node.names)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                names.add(node.id)
             elif isinstance(node, ast.alias):
-                used.add(node.name)
-    return used
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if ast.unparse(node.value) in modules:
+                    names.add(node.attr)
+    return names, attributes
 
 
-def defined_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) for each module-level function and method."""
+def defined_functions(sources: dict[str, str]) -> list[tuple[str, str, bool]]:
+    """(module, name, is a method) for each module-level function and
+    method."""
     defined = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            functions = [node] if isinstance(node, ast.FunctionDef) else (
-                [f for f in node.body if isinstance(f, ast.FunctionDef)]
-                if isinstance(node, ast.ClassDef) else [])
-            defined += [(module, f.name) for f in functions]
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name, False))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(module, f.name, True) for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
     return defined
 
 
 def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions and single-underscore methods that no
-    name or attribute anywhere in the given sources refers to."""
-    used = referenced_names(sources.values())
-    return [f"{module}:{name}" for module, name in defined_functions(sources)
-            if name.startswith("_") and not name.startswith("__") and name not in used]
+    """Module-level ``_name`` functions and single-underscore methods that
+    nothing in the given sources refers to: a method by no attribute of its
+    name, a function by no bare name, import or troprr-module attribute."""
+    names, attributes = referenced_names(sources.values())
+    return [f"{module}:{name}" for module, name, method in defined_functions(sources)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in names and not (method and name in attributes)]
 
 
 def test_the_helper_check_sees_unreferenced_private_helpers():
@@ -83,11 +99,13 @@ def test_every_private_helper_is_referenced_in_the_package():
 
 
 def unreferenced_public_functions(sources: dict[str, str], users: list[str]) -> list[str]:
-    """Public module-level functions and methods of the given sources that no
-    name or attribute in the sources or in the user code refers to."""
-    used = referenced_names([*sources.values(), *users])
-    return [f"{module}:{name}" for module, name in defined_functions(sources)
-            if not name.startswith("_") and name not in used]
+    """Public module-level functions and methods of the given sources that
+    nothing in the sources or in the user code refers to, as for
+    ``unreferenced_private_helpers``."""
+    names, attributes = referenced_names([*sources.values(), *users])
+    return [f"{module}:{name}" for module, name, method in defined_functions(sources)
+            if not name.startswith("_")
+            and name not in names and not (method and name in attributes)]
 
 
 def test_the_public_function_check_sees_unreferenced_functions():
@@ -99,6 +117,18 @@ def test_the_public_function_check_sees_unreferenced_functions():
                     "    @property\n    def size(self):\n        return 0\n"}
     users = ["from a import called\ncalled()\n", "def f(c):\n    return c.method(), c.size\n"]
     assert unreferenced_public_functions(sources, users) == ["a:dead", "b:unused"]
+
+
+def test_a_module_function_counts_only_by_name_import_or_module_attribute():
+    sources = {"a": "def by_name():\n    pass\ndef by_import():\n    pass\n"
+                    "def by_module():\n    pass\ndef by_dotted():\n    pass\n"
+                    "def wrapper(p):\n    return p.wrapper()\n"
+                    "class P:\n    def wrapper(self):\n        pass\n"}
+    users = ["by_name()\n", "from troprr.a import by_import as f\n",
+             "from troprr import a as m\nm.by_module()\n",
+             "import troprr.a\ntroprr.a.by_dotted()\n",
+             "def f(p):\n    return p.wrapper()\n"]
+    assert unreferenced_public_functions(sources, users) == ["a:wrapper"]
 
 
 def test_every_public_function_is_referenced():

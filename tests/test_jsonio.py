@@ -63,6 +63,33 @@ def test_complex_schema_diagnostics():
                            "cells": [{"vertices": [5]}]})
 
 
+def segment_cycle(points=(["0", "0"], ["1", "0"]), cell=None, weights=None, **extra):
+    """A one-cell segment complex in R^2, with one field replaced."""
+    data = {"ambient_dim": 2, "points": [list(p) for p in points],
+            "cells": [cell or {"vertices": [0, 1]}], "weights": weights or {"0": 1}}
+    data.update(extra)
+    return data
+
+
+@pytest.mark.parametrize("data, where", [
+    (segment_cycle(points=(["-inf", "0"], ["1", "0"])), r"\$\.points\[0\]\[0\]"),
+    (segment_cycle(cell={"vertices": []}), r"\$\.cells\[0\]"),
+    (segment_cycle(cell={"vertices": [0], "rays": [[0, 0]]}), r"\$\.cells\[0\]"),
+    (segment_cycle(cell={"vertices": [0], "rays": [[1]]}), r"\$\.cells\[0\]"),
+    (segment_cycle(cell={"vertices": [0], "lineality": [[1, 0, 0]]}), r"\$\.cells\[0\]"),
+    (segment_cycle(weights={"3": 1}), r"\$\.weights"),
+    (segment_cycle(weights={"-1": 1}), r"\$\.weights"),
+    (segment_cycle(dim=0), r"\$\.weights"),
+], ids=["neg-inf-point", "no-vertices", "zero-ray", "short-ray", "long-lineality",
+        "weight-out-of-range", "negative-cell-index", "wrong-dimension"])
+def test_bad_complex_and_cycle_input_names_its_json_path(data, where):
+    with pytest.raises(ValueError, match=rf"^{where}: "):
+        cycle_from_json(data)
+    if "weights" not in where:
+        with pytest.raises(ValueError, match=rf"^{where}: "):
+            complex_from_json(data)
+
+
 def test_cartier_round_trip():
     curve = tropical_hypersurface(smooth_simplex_polynomial(2, 1))
     phi = cartier_from_polynomial(smooth_simplex_polynomial(2, 1), curve)

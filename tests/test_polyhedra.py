@@ -200,7 +200,7 @@ def test_local_cone_runs_no_v_to_h_once_the_cells_have_their_h_reps(monkeypatch)
     curve = tropical_hypersurface(smooth_simplex_polynomial(2, 3))
     c = curve.complex
     for cell in c.cells:
-        cell._integer_hrep()
+        cell.hrep()
     points = [cell.relative_interior_point() for cell in c.cells]
     calls = []
     original = polyhedra._hrep_from_vrep
@@ -291,7 +291,7 @@ def recursive_faces(vertices):
             return
         sub = Polyhedron(list(subset))
         found[key] = sub.dim
-        for f in sub._integer_hrep()[1]:
+        for f in sub.hrep()[1]:
             if not any(f[1:]):
                 continue
             tight = [v for v in subset if vdot(f, (1,) + v) == 0]
@@ -374,7 +374,7 @@ def test_hrep_rows_and_their_order():
     seg = Polyhedron([(0, 0, 1), (1, 1, 1)])
     eqs, ineqs = seg.hrep()
     assert eqs == [(0, -1, 1, 0), (-1, 0, 0, 1)] and ineqs == [(0, 1, 1, 0), (1, -1, -1, 1)]
-    assert all(type(c) is Fraction for row in eqs + ineqs for c in row)
+    assert all(type(c) is int for row in eqs + ineqs for c in row)
 
 
 # -- properties of the H-representation on random polyhedra ------------------
@@ -421,7 +421,7 @@ def test_hrep_rows_are_primitive_facet_normals(p):
     d = p.ambient_dim + 1 - len(eqs)
     assert matrix_rank(gens) == d
     for row in eqs + ineqs:
-        assert all(type(c) is Fraction and c.denominator == 1 for c in row)
+        assert all(type(c) is int for c in row)
         assert gcd_list(int(c) for c in row) == 1
     for e in eqs:
         assert all(vdot(e, g) == 0 for g in gens)
@@ -430,6 +430,16 @@ def test_hrep_rows_are_primitive_facet_normals(p):
         vals = [vdot(f, g) for g in gens]
         assert all(v >= 0 for v in vals)
         assert matrix_rank([g for g, v in zip(gens, vals) if v == 0]) == d - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_polyhedra())
+@example(Polyhedron([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)]))
+def test_facet_incidence_matches_fraction_evaluation(p):
+    for q in (p, p.canonicalize()):
+        gens = homogeneous_generators(q)
+        assert q.facet_generators() == [
+            sum(1 << i for i, g in enumerate(gens) if vdot(f, g) == 0) for f in q.hrep()[1]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -905,7 +915,7 @@ def unpruned_cone_in_union(p, cones):
     """cone_in_union without its candidate pruning: every piece is tested
     against every polyhedron and split by the first hyperplane of any of
     them that splits it."""
-    rows = [c._integer_hrep() for c in cones]
+    rows = [c.hrep() for c in cones]
     hyperplanes = list(dict.fromkeys(
         sign_normalize(h) for eqs, ineqs in rows for h in eqs + ineqs))
 
@@ -929,7 +939,7 @@ def unpruned_cone_in_union(p, cones):
     if covered(polyhedra._homogeneous_generators(p), []):
         return True
     q = p.canonicalize()
-    facets = p._integer_hrep()[1]
+    facets = p.hrep()[1]
     gens = [primitive((1,) + v) for v in q.vertices] + [(0,) + r for r in q.rays]
     zeros = [sum(1 << i for i, f in enumerate(facets) if vdot(f, g) == 0) for g in gens]
     lin = [(0,) + l for l in q.lineality]
