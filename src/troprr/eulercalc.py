@@ -15,7 +15,7 @@ from .hypersurface import (
     TropicalPolynomial,
     _subdivision_of,
     ambient_cycle,
-    cartier_from_polynomial,
+    restrict_to_hypersurface,
     tropical_hypersurface,
 )
 from .linalg import (
@@ -207,8 +207,7 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
         ff = face_polynomial(f_curve, p, fverts)
         gg = face_polynomial(f_other, p, fverts)
         curve = tropical_hypersurface(ff)
-        phi = cartier_from_polynomial(gg, curve)
-        pts = divisor_intersect(phi)
+        pts = divisor_intersect(restrict_to_hypersurface(gg, ff))
         for i, w in pts.weights.items():
             x = pts.complex.cells[i].vertices[0]
             if not point_in_cell_interior(curve, x):

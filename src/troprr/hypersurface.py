@@ -1,6 +1,8 @@
 """Tropical polynomials (max-plus), regular subdivisions of Newton polytopes,
 hypersurface cycles as dual complexes, and piecewise-affine restrictions of
-polynomials to cycles."""
+polynomials to cycles: to a cycle on whose cells the polynomial is affine,
+and to the hypersurface of another polynomial, in any dimension, on the
+complex of their tropical product."""
 
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from .linalg import (
     primitive,
     vadd,
     vdot,
-    vscale,
     vsub,
 )
 from .polyhedra import (
@@ -292,8 +293,7 @@ def _dominates(a, ca, b, cb, cell: Polyhedron) -> bool:
     return True
 
 
-def cartier_from_polynomial(f: TropicalPolynomial, cycle: TropicalCycle,
-                            allow_refine: bool = True) -> CartierFunction:
+def cartier_from_polynomial(f: TropicalPolynomial, cycle: TropicalCycle) -> CartierFunction:
     """Restrict f to the cycle as a Cartier function: one dominating term per
     weighted cell.
 
@@ -303,9 +303,9 @@ def cartier_from_polynomial(f: TropicalPolynomial, cycle: TropicalCycle,
     attains the max on the whole cell; the piece is the smallest member,
     the first dominating term in sorted order. On any other complex each
     cell's piece is searched for among the terms maximal at a relative
-    interior point. If f is not affine on some cell of a curve, the curve
-    is refined at the breakpoints of f first; higher-dimensional cycles
-    whose cells f breaks are rejected."""
+    interior point. A cycle with a cell on which f is not affine is
+    rejected; to cut a polynomial g with the hypersurface of another, use
+    ``restrict_to_hypersurface``, whose complex refines both."""
     complex_ = cycle.complex
     if isinstance(complex_, DualComplex) and complex_.terms == f.terms:
         pieces = {}
@@ -328,9 +328,6 @@ def cartier_from_polynomial(f: TropicalPolynomial, cycle: TropicalCycle,
                 piece = (e, c)
                 break
         if piece is None:
-            if cycle.dim == 1 and allow_refine:
-                refined = refine_curve_by_polynomial(f, cycle)
-                return cartier_from_polynomial(f, refined, allow_refine=False)
             raise ValueError(
                 f"polynomial is not affine on weighted cell {i} of the cycle"
             )
@@ -338,88 +335,38 @@ def cartier_from_polynomial(f: TropicalPolynomial, cycle: TropicalCycle,
     return CartierFunction(cycle, pieces)
 
 
-def _envelope_breakpoints(f: TropicalPolynomial, base, direction, lo, hi):
-    """Parameter values t in the open interval (lo, hi) (hi may be None for
-    +infinity, lo None for -infinity) where max_a <a, base + t dir> + c_a has
-    a kink."""
-    forms = [(vdot(e, direction), vdot(e, base) + c) for e, c in f.terms.items()]
-    bps = set()
-    for (s1, i1), (s2, i2) in itertools.combinations(forms, 2):
-        if s1 == s2:
+def restrict_to_hypersurface(g: TropicalPolynomial, f: TropicalPolynomial) -> CartierFunction:
+    """g restricted to the hypersurface of f, in any dimension, on the complex
+    of the tropical product f*g (terms a + b, coefficient max(c_a + c_b)).
+
+    V(f*g) is V(f) u V(g), and the product's regular subdivision is the
+    mixed subdivision of Newt(f) + Newt(g): each face splits in one way
+    only into a face F of f's subdivision plus a face G of g's, so the
+    product's dual complex refines the linearity regions of both, and on
+    the relative interior of a cell f's argmax is F and g's is G
+    (Maclagan-Sturmfels, Introduction to Tropical Geometry, §3.6). F and G
+    are read off the pairs (a, b) that give the face's members their
+    coefficient: such a pair attains both maxima. The weighted cells are
+    the (n-1)-cells where F is an edge, with its lattice length as weight;
+    g's piece is the smallest member of G."""
+    pairs: dict[tuple, list] = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            pairs.setdefault(vadd(a, b), []).append((ca + cb, a, b))
+    prod = TropicalPolynomial(f.n, {c: max(v for v, _a, _b in ps) for c, ps in pairs.items()})
+    complex_, index, faces = _dual_complex(_subdivision_of(prod), 1)
+    weights, pieces = {}, {}
+    for members, d in faces:
+        if d != 1:
             continue
-        t = (i2 - i1) / (s1 - s2)
-        if lo is not None and t <= lo:
-            continue
-        if hi is not None and t >= hi:
-            continue
-        val = s1 * t + i1
-        if all(s * t + i <= val for s, i in forms):
-            bps.add(t)
-    return sorted(bps)
-
-
-def refine_curve_by_polynomial(f: TropicalPolynomial, cycle: TropicalCycle) -> TropicalCycle:
-    """Refine the weighted 1-cells of a curve at the breakpoints of f, keeping
-    weights; returns an equivalent cycle on the refined complex."""
-    if cycle.dim != 1:
-        raise ValueError("refinement is implemented for curves only")
-    points: list[tuple] = []
-    point_index: dict[tuple, int] = {}
-
-    def pt(v):
-        key = tuple(frac(c) for c in v)
-        if key not in point_index:
-            point_index[key] = len(points)
-            points.append(key)
-        return point_index[key]
-
-    segments = []  # (Polyhedron, weight, endpoint point-indices)
-    for i, w in sorted(cycle.weights.items()):
-        cell = cycle.complex.cells[i]
-        if cell.lineality:
-            base = cell.vertices[0]
-            d = cell.lineality[0]
-            bps = _envelope_breakpoints(f, base, d, None, None)
-            if not bps:
-                segments.append((cell, w, []))
-                continue
-            cuts = [vadd(base, vscale(t, d)) for t in bps]
-            neg = tuple(-c for c in d)
-            segments.append((Polyhedron([cuts[0]], rays=[neg]), w, [pt(cuts[0])]))
-            for a, b in zip(cuts, cuts[1:]):
-                segments.append((Polyhedron([a, b]), w, [pt(a), pt(b)]))
-            segments.append((Polyhedron([cuts[-1]], rays=[d]), w, [pt(cuts[-1])]))
-        elif cell.rays:
-            base = cell.vertices[0]
-            d = tuple(Fraction(c) for c in cell.rays[0])
-            bps = _envelope_breakpoints(f, base, d, Fraction(0), None)
-            cuts = [base] + [vadd(base, vscale(t, d)) for t in bps]
-            for a, b in zip(cuts, cuts[1:]):
-                segments.append((Polyhedron([a, b]), w, [pt(a), pt(b)]))
-            segments.append((Polyhedron([cuts[-1]], rays=[cell.rays[0]]), w, [pt(cuts[-1])]))
-        else:
-            u, v = cell.canonicalize().vertices[:2]
-            d = vsub(v, u)
-            bps = _envelope_breakpoints(f, u, d, Fraction(0), Fraction(1))
-            cuts = [u] + [vadd(u, vscale(t, d)) for t in bps] + [v]
-            for a, b in zip(cuts, cuts[1:]):
-                segments.append((Polyhedron([a, b]), w, [pt(a), pt(b)]))
-    # Carry over the existing 0-cells of the closed support.
-    for i in cycle.support_cells():
-        c = cycle.complex.cells[i]
-        if c.dim == 0:
-            pt(c.vertices[0])
-    cells = [Polyhedron([p]) for p in points]
-    relation = set()
-    weights = {}
-    for poly, w, ends in segments:
-        idx = len(cells)
-        cells.append(poly)
-        weights[idx] = w
-        for e in ends:
-            relation.add((e, idx))
-    refined = TropicalCycle(PolyhedralComplex(cycle.complex.ambient_dim, cells, relation), 1, weights)
-    return refined
+        split = [(a, b) for c in members for v, a, b in pairs[c] if v == prod.terms[c]]
+        edge = {a for a, _b in split}
+        if len(edge) > 1:
+            i = index[members]
+            weights[i] = gcd_list(vsub(max(edge), min(edge)))
+            e = min(b for _a, b in split)
+            pieces[i] = (e, g.terms[e])
+    return CartierFunction(TropicalCycle(complex_, f.n - 1, weights), pieces)
 
 
 # -- generators ----------------------------------------------------------------

@@ -21,8 +21,8 @@ from .eulercalc import (
     curve_intersection_points,
 )
 from .hypersurface import (
-    cartier_from_polynomial,
     random_smooth_polynomial,
+    restrict_to_hypersurface,
     tropical_hypersurface,
 )
 from .polyhedra import LatticePolytope, PolyhedralComplex, Polyhedron, local_cone
@@ -163,9 +163,7 @@ def curve_pair_moderate(pair: CurvePair) -> str:
 def engine_pairing_degree(f, g) -> int:
     """Degree of the divisor cut by g on the interior hypersurface of f:
     the stable-intersection pairing computed entirely inside the engine."""
-    curve = tropical_hypersurface(f)
-    phi = cartier_from_polynomial(g, curve)
-    return degree(divisor_intersect(phi))
+    return degree(divisor_intersect(restrict_to_hypersurface(g, f)))
 
 
 def ring_pairing_degree(q1: LatticePolytope, q2: LatticePolytope) -> int:

@@ -62,6 +62,13 @@ def _int_vec(v, path: str):
     return tuple(_int(c, f"{path}[{i}]") for i, c in enumerate(v))
 
 
+def _list(data: dict, key: str, path: str) -> list:
+    """data[key], an optional list that defaults to empty."""
+    v = data.get(key, [])
+    _expect(isinstance(v, list), f"{path}.{key}", "expected a list")
+    return v
+
+
 def _finite(s, path: str) -> Fraction:
     x = frac_from_str(s, path)
     _expect(x is not NEG_INF, path, "expected a finite rational")
@@ -112,16 +119,16 @@ def complex_from_json(data: dict, path: str = "$") -> PolyhedralComplex:
     for i, cdata in enumerate(raw_cells):
         cpath = f"{path}.cells[{i}]"
         _expect(isinstance(cdata, dict), cpath, "expected an object")
-        vidx = [_int(v, f"{cpath}.vertices") for v in cdata.get("vertices", [])]
+        vidx = [_int(v, f"{cpath}.vertices") for v in _list(cdata, "vertices", cpath)]
         _expect(all(0 <= v < len(points) for v in vidx), f"{cpath}.vertices",
                 "vertex index out of range")
         rays = [_int_vec(r, f"{cpath}.rays[{j}]")
-                for j, r in enumerate(cdata.get("rays", []))]
+                for j, r in enumerate(_list(cdata, "rays", cpath))]
         lin = [_int_vec(l, f"{cpath}.lineality[{j}]")
-               for j, l in enumerate(cdata.get("lineality", []))]
+               for j, l in enumerate(_list(cdata, "lineality", cpath))]
         cells.append(_at(cpath, Polyhedron, [points[v] for v in vidx], rays, lin))
     relation = []
-    for i, pair in enumerate(data.get("face_relation", [])):
+    for i, pair in enumerate(_list(data, "face_relation", path)):
         rpath = f"{path}.face_relation[{i}]"
         _expect(isinstance(pair, list) and len(pair) == 2, rpath, "expected [a, b]")
         a, b = _int(pair[0], rpath), _int(pair[1], rpath)
@@ -147,7 +154,7 @@ def cycle_from_json(data: dict, path: str = "$") -> TropicalCycle:
     _expect(isinstance(raw, dict), f"{path}.weights", "expected an object")
     weights = {}
     for k, w in raw.items():
-        _expect(k.isdigit() and int(k) < len(c.cells), f"{path}.weights",
+        _expect(k.isdecimal() and int(k) < len(c.cells), f"{path}.weights",
                 f"bad cell index {k!r}")
         weights[int(k)] = _int(w, f"{path}.weights[{k}]")
     dim = _int(data.get("dim"), f"{path}.dim") if "dim" in data else max(
@@ -256,10 +263,11 @@ def graph_from_json(data: dict, path: str = "$"):
         edges.append(v)
     graph = _at(f"{path}.edges", TropicalCurveGraph, n, edges)
     divisor = [0] * n
-    raw = data.get("divisor") or {}
+    raw = data.get("divisor")
+    raw = {} if raw is None else raw
     _expect(isinstance(raw, dict), f"{path}.divisor", "expected an object")
     for k, c in raw.items():
-        _expect(k.isdigit() and int(k) < n, f"{path}.divisor",
+        _expect(k.isdecimal() and int(k) < n, f"{path}.divisor",
                 f"bad vertex index {k!r}")
         divisor[int(k)] = _int(c, f"{path}.divisor[{k}]")
     return graph, divisor

@@ -184,13 +184,15 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
     (["curve"], '{"vertices": 0, "edges": []}', "$.vertices: need at least one vertex"),
     (["curve"], '{"vertices": 2, "edges": [[0, 2]]}', "$.edges: edge endpoint out of range"),
     (["curve"], '{"vertices": 2, "edges": []}', "$.edges: the curve graph must be connected"),
+    (["curve"], '{"vertices": 2, "edges": [[0, 1]], "divisor": {"\u00b2": 1}}',
+     "$.divisor: bad vertex index '\u00b2'"),
     (["csm"], '{"n": 3, "bases": [[1], [1, 2]]}', "$.bases: bases must be equicardinal"),
     (["csm"], '{"n": 2, "bases": [[1, 3]]}', "$.bases: basis outside the ground set"),
     (["csm"], '{"n": 13, "bases": [[1]]}', "$.n: expected 0 <= n <= 12"),
     (["euler", "hypersurface"], '{"n": 2, "terms": [{"exp": [0,0], "coeff": "0"},'
      ' {"exp": [1,0], "coeff": "0"}]}', "$.terms: Newton polytope must be full-dimensional"),
-], ids=["no-vertex", "endpoint", "disconnected", "unequal-bases", "outside-ground",
-        "ground-size", "not-full-dimensional"])
+], ids=["no-vertex", "endpoint", "disconnected", "superscript-index", "unequal-bases",
+        "outside-ground", "ground-size", "not-full-dimensional"])
 def test_invalid_json_input_exits_1_with_json_path(commands, data, message, capsys):
     for command in commands:
         assert main([command, data]) == 1
@@ -205,11 +207,17 @@ def test_bertini_rejects_polygons_with_different_normal_fans(capsys):
     assert "[FAIL]" not in captured.out
 
 
-@pytest.mark.parametrize("divisor", ["[1]", '"x"'])
+@pytest.mark.parametrize("divisor", ["[1]", '"x"', "[]", "0", '""', "false"])
 def test_curve_divisor_that_is_not_an_object_exits_1(divisor, capsys):
     graph = '{"vertices": 2, "edges": [[0,1]], "divisor": %s}' % divisor
     assert main(["curve", graph]) == 1
     assert "error: $.divisor: expected an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("divisor", ["", ', "divisor": null'])
+def test_absent_or_null_curve_divisor_is_zero(divisor, capsys):
+    assert main(["curve", '{"vertices": 2, "edges": [[0,1]]%s}' % divisor]) == 0
+    assert "divisor=[0, 0]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["euler", "hypersurface"])

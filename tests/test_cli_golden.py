@@ -1,10 +1,12 @@
-"""Golden CLI reports: the stdout and the --json-out bytes of the fast README
-commands are pinned, so that a refactor of the engine cannot change a report.
+"""Golden CLI reports and demo outputs: the stdout and the --json-out bytes of
+the fast README commands, and the stdout of every script under demos/, are
+pinned, so that a refactor of the engine cannot change a report.
 
 Regenerate the files under tests/golden/ with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` (only when a report is
 meant to change)."""
 
+import importlib.util
 import io
 import sys
 from contextlib import redirect_stdout
@@ -15,6 +17,7 @@ import pytest
 from troprr.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 U24 = '{"n": 4, "bases": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
 
 # name -> (argv after "--json-out PATH", exit code); "@file" names an input
@@ -53,6 +56,16 @@ def _run(name, json_out):
     return code, buf.getvalue()
 
 
+def _run_demo(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        module.main()
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_report_matches_golden(name, tmp_path):
     json_out = tmp_path / "out.json"
@@ -62,6 +75,11 @@ def test_cli_report_matches_golden(name, tmp_path):
     assert json_out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_output_matches_golden(path):
+    assert _run_demo(path) == (GOLDEN / f"demo_{path.stem}.stdout").read_text()
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         out = GOLDEN / f"{case}.json"
@@ -69,3 +87,5 @@ if __name__ == "__main__":
         if code != CASES[case][1]:
             sys.exit(f"{case}: exit code {code}, expected {CASES[case][1]}")
         (GOLDEN / f"{case}.stdout").write_text(stdout)
+    for path in DEMOS:
+        (GOLDEN / f"demo_{path.stem}.stdout").write_text(_run_demo(path))

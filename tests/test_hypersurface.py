@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from troprr import hypersurface
-from troprr.cycles import check_balancing, degree, divisor_intersect, power_tower
+from troprr.cycles import (
+    TropicalCycle,
+    check_balancing,
+    degree,
+    divisor_intersect,
+    power_tower,
+)
 from troprr.hypersurface import (
     SUBDIVISION_MEMO_SIZE,
     TropicalPolynomial,
@@ -19,13 +26,26 @@ from troprr.hypersurface import (
     newton_polytope,
     random_smooth_polynomial,
     regular_subdivision,
+    restrict_to_hypersurface,
     smooth_simplex_polynomial,
     tropical_hypersurface,
 )
-from troprr.linalg import is_zero_vec, matrix_rank, primitive, solve_linear, vdot, vsub
+from troprr.instances import delzant_catalogue
+from troprr.linalg import (
+    frac,
+    is_zero_vec,
+    matrix_rank,
+    primitive,
+    solve_linear,
+    vadd,
+    vdot,
+    vscale,
+    vsub,
+)
 from troprr import polyhedra
 from troprr.polyhedra import (
     LatticePolytope,
+    PolyhedralComplex,
     Polyhedron,
     normalized_volume,
     polytope_normalized_volume,
@@ -130,9 +150,11 @@ def test_conic_self_intersection_degree_four():
 def test_line_times_shifted_line_via_refinement():
     x = tropical_hypersurface(line_poly())
     g = TropicalPolynomial(2, {(0, 0): 0, (1, 0): -1})
-    phi = cartier_from_polynomial(g, x)
-    # g breaks the (1,1)-ray of the line at (1,1); the restriction lives on a
-    # refined complex.
+    # g breaks the (1,1)-ray of the line at (1,1): it is not affine on the
+    # line's own complex, and the restriction lives on the product's complex.
+    with pytest.raises(ValueError, match="not affine"):
+        cartier_from_polynomial(g, x)
+    phi = restrict_to_hypersurface(g, line_poly())
     assert phi.cycle is not x
     d = divisor_intersect(phi)
     assert degree(d) == 1
@@ -494,3 +516,146 @@ def test_dual_face_pieces_need_the_same_terms():
     # ... other terms on the line's complex are searched for.
     g = TropicalPolynomial(2, {(1, 0): 5})
     assert cartier_from_polynomial(g, x).pieces == {i: ((1, 0), 5) for i in x.weights}
+
+
+# -- restriction to a hypersurface, against the curve refinement it replaces --
+
+
+def _envelope_breakpoints(f: TropicalPolynomial, base, direction, lo, hi):
+    """Parameter values t in the open interval (lo, hi) (hi may be None for
+    +infinity, lo None for -infinity) where max_a <a, base + t dir> + c_a has
+    a kink."""
+    forms = [(vdot(e, direction), vdot(e, base) + c) for e, c in f.terms.items()]
+    bps = set()
+    for (s1, i1), (s2, i2) in itertools.combinations(forms, 2):
+        if s1 == s2:
+            continue
+        t = (i2 - i1) / (s1 - s2)
+        if lo is not None and t <= lo:
+            continue
+        if hi is not None and t >= hi:
+            continue
+        val = s1 * t + i1
+        if all(s * t + i <= val for s, i in forms):
+            bps.add(t)
+    return sorted(bps)
+
+
+def refine_curve_by_polynomial(f: TropicalPolynomial, cycle: TropicalCycle) -> TropicalCycle:
+    """Refine the weighted 1-cells of a curve at the breakpoints of f, keeping
+    weights; returns an equivalent cycle on the refined complex."""
+    if cycle.dim != 1:
+        raise ValueError("refinement is implemented for curves only")
+    points: list[tuple] = []
+    point_index: dict[tuple, int] = {}
+
+    def pt(v):
+        key = tuple(frac(c) for c in v)
+        if key not in point_index:
+            point_index[key] = len(points)
+            points.append(key)
+        return point_index[key]
+
+    segments = []  # (Polyhedron, weight, endpoint point-indices)
+    for i, w in sorted(cycle.weights.items()):
+        cell = cycle.complex.cells[i]
+        if cell.lineality:
+            base = cell.vertices[0]
+            d = cell.lineality[0]
+            bps = _envelope_breakpoints(f, base, d, None, None)
+            if not bps:
+                segments.append((cell, w, []))
+                continue
+            cuts = [vadd(base, vscale(t, d)) for t in bps]
+            neg = tuple(-c for c in d)
+            segments.append((Polyhedron([cuts[0]], rays=[neg]), w, [pt(cuts[0])]))
+            for a, b in zip(cuts, cuts[1:]):
+                segments.append((Polyhedron([a, b]), w, [pt(a), pt(b)]))
+            segments.append((Polyhedron([cuts[-1]], rays=[d]), w, [pt(cuts[-1])]))
+        elif cell.rays:
+            base = cell.vertices[0]
+            d = tuple(Fraction(c) for c in cell.rays[0])
+            bps = _envelope_breakpoints(f, base, d, Fraction(0), None)
+            cuts = [base] + [vadd(base, vscale(t, d)) for t in bps]
+            for a, b in zip(cuts, cuts[1:]):
+                segments.append((Polyhedron([a, b]), w, [pt(a), pt(b)]))
+            segments.append((Polyhedron([cuts[-1]], rays=[cell.rays[0]]), w, [pt(cuts[-1])]))
+        else:
+            u, v = cell.canonicalize().vertices[:2]
+            d = vsub(v, u)
+            bps = _envelope_breakpoints(f, u, d, Fraction(0), Fraction(1))
+            cuts = [u] + [vadd(u, vscale(t, d)) for t in bps] + [v]
+            for a, b in zip(cuts, cuts[1:]):
+                segments.append((Polyhedron([a, b]), w, [pt(a), pt(b)]))
+    # Carry over the existing 0-cells of the closed support.
+    for i in cycle.support_cells():
+        c = cycle.complex.cells[i]
+        if c.dim == 0:
+            pt(c.vertices[0])
+    cells = [Polyhedron([p]) for p in points]
+    relation = set()
+    weights = {}
+    for poly, w, ends in segments:
+        idx = len(cells)
+        cells.append(poly)
+        weights[idx] = w
+        for e in ends:
+            relation.add((e, idx))
+    refined = TropicalCycle(PolyhedralComplex(cycle.complex.ambient_dim, cells, relation), 1, weights)
+    return refined
+
+
+
+def refined_restriction(g, f):
+    """Reference restriction of g to the curve of f: the curve refined at
+    g's breakpoints, then each piece searched for."""
+    return cartier_from_polynomial(g, refine_curve_by_polynomial(g, tropical_hypersurface(f)))
+
+
+def divisor_points(phi):
+    d = divisor_intersect(phi)
+    return {d.complex.cells[i].vertices[0]: w for i, w in d.weights.items()}
+
+
+SMALL_POLYGONS = [q for q in delzant_catalogue() if len(q.lattice_points()) <= 10]
+TIED_CONIC = TropicalPolynomial(2, {p: 0 for p in standard_simplex(2, 2).lattice_points()})
+
+
+def smooth_catalogue_polynomials():
+    """Random smooth polynomials on the small catalogue polygons: triangles,
+    which share a normal fan with each other, rectangles, trapezoids and
+    chopped corners, which mostly do not."""
+    return st.builds(lambda q, seed: random_smooth_polynomial(q.lattice_points(), seed),
+                     st.sampled_from(SMALL_POLYGONS), st.integers(0, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_catalogue_polynomials(), smooth_catalogue_polynomials())
+# g's curve along a ray of the line, through its vertex, and the shifted line
+@example(line_poly(), TropicalPolynomial(2, {(0, 0): 0, (0, 1): 0}))
+@example(line_poly(), TropicalPolynomial(2, {(0, 0): 0, (1, 1): 0}))
+@example(line_poly(), TropicalPolynomial(2, {(0, 0): 0, (1, 0): -1}))
+# a one-term g, affine everywhere, and the conic of tied heights on the line
+@example(line_poly(), TropicalPolynomial(2, {(1, 0): 5}))
+@example(line_poly(), TIED_CONIC)
+# that conic's curve, of weight 2, cut by the shifted line
+@example(TIED_CONIC, TropicalPolynomial(2, {(0, 0): 0, (1, 0): -1}))
+def test_restriction_to_a_curve_matches_the_refinement(f, g):
+    phi = restrict_to_hypersurface(g, f)
+    assert check_balancing(phi.cycle).ok
+    assert phi.pieces == searched_pieces(g, phi.cycle)
+    assert divisor_points(phi) == divisor_points(refined_restriction(g, f))
+
+
+@pytest.mark.parametrize("d,e", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_surface_cut_twice_by_a_second_polynomial(d, e):
+    """deg(V(f).g.g) = d e^2 for a degree-d surface in R^3 and a degree-e g:
+    g restricted to the surface on the product's complex, then to the curve
+    it cuts by the search on that same complex."""
+    f = smooth_simplex_polynomial(3, d)
+    rng = random.Random(10 * d + e)
+    g = TropicalPolynomial(3, {p: rng.randint(-20, 20)
+                               for p in standard_simplex(3, e).lattice_points()})
+    curve = divisor_intersect(restrict_to_hypersurface(g, f))
+    assert check_balancing(curve).ok
+    assert degree(divisor_intersect(cartier_from_polynomial(g, curve))) == d * e * e

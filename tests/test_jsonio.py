@@ -80,8 +80,16 @@ def segment_cycle(points=(["0", "0"], ["1", "0"]), cell=None, weights=None, **ex
     (segment_cycle(weights={"3": 1}), r"\$\.weights"),
     (segment_cycle(weights={"-1": 1}), r"\$\.weights"),
     (segment_cycle(dim=0), r"\$\.weights"),
+    (segment_cycle(weights={"\u00b2": 1}), r"\$\.weights"),
+    (segment_cycle(cell={"vertices": 0}), r"\$\.cells\[0\]\.vertices"),
+    (segment_cycle(cell={"vertices": [0], "rays": 1}), r"\$\.cells\[0\]\.rays"),
+    (segment_cycle(cell={"vertices": [0, 1], "lineality": None}),
+     r"\$\.cells\[0\]\.lineality"),
+    (segment_cycle(face_relation=2), r"\$\.face_relation"),
 ], ids=["neg-inf-point", "no-vertices", "zero-ray", "short-ray", "long-lineality",
-        "weight-out-of-range", "negative-cell-index", "wrong-dimension"])
+        "weight-out-of-range", "negative-cell-index", "wrong-dimension",
+        "superscript-cell-index", "vertices-not-a-list", "rays-not-a-list",
+        "lineality-not-a-list", "face-relation-not-a-list"])
 def test_bad_complex_and_cycle_input_names_its_json_path(data, where):
     with pytest.raises(ValueError, match=rf"^{where}: "):
         cycle_from_json(data)
