@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .linalg import (
     IntVec,
@@ -17,7 +18,6 @@ from .linalg import (
     in_span,
     integer_kernel,
     primitive,
-    quotient_generator,
     vdot,
 )
 from .polyhedra import (
@@ -80,41 +80,50 @@ class BalancingReport:
 
 
 def _normal_vector(complex_: PolyhedralComplex, tau_idx: int, sigma_idx: int):
-    """Integer vector in sigma's lattice whose class generates
-    (lattice of sigma)/(lattice of tau), pointing from tau into sigma.
+    """(p, ref, g) for sigma's lattice normal at its face tau.
+
+    ref is an integer vector of sigma's span pointing from tau into sigma:
+    the sum over sigma's homogeneous generators g of t0[0]·g[1:] − g[0]·t0[1:],
+    t0 the generator of tau's first vertex (tau is a face of sigma, so a
+    functional vanishing on tau's directions has one sign on every term).
+    With N tau's ``_span_normals``, q = N·ref, g = gcd(q) and p = q / g.
+    N maps Z^n onto Z^c with kernel L(tau), the saturated lattice of tau's
+    directions, and sigma's saturated lattice maps onto a saturated line;
+    so p is the class of sigma's lattice normal in Z^n / L(tau), and
+    ref / g represents it (Allermann–Rau, *Math. Z.* 264, 2010, §2).
+    Balancing and the divisor pairing need only that class.
 
     It depends on the geometry only, not on weights, so the complex's memo
-    keeps it, at most one vector per pair of its face relation, for every
-    cycle on the complex. It is built from integers alone. Its side is
-    that of the sum over sigma's homogeneous generators g of
-    t0[0]·g[1:] − g[0]·t0[1:], t0 the generator of tau's first vertex;
-    tau is a face of sigma, so a functional vanishing on tau's directions
-    has one sign on every term."""
+    keeps it, at most once per pair of its face relation, for every cycle
+    on the complex. It is built from integers alone."""
     key = (tau_idx, sigma_idx)
     v = complex_._normals.get(key)
     if v is None:
         tau = complex_.cells[tau_idx]
-        sigma = complex_.cells[sigma_idx]
-        t0, gens = _homogeneous_generators(tau)[0], _homogeneous_generators(sigma)
-        ref = [sum(t0[0] * g[i] - g[0] * t0[i] for g in gens)
-               for i in range(1, complex_.ambient_dim + 1)]
-        v = complex_._normals[key] = quotient_generator(
-            tau._span_normals(), sigma.lattice_basis(), ref)
+        t0 = _homogeneous_generators(tau)[0]
+        gens = _homogeneous_generators(complex_.cells[sigma_idx])
+        ref = tuple(sum(t0[0] * g[i] - g[0] * t0[i] for g in gens)
+                    for i in range(1, complex_.ambient_dim + 1))
+        q = [vdot(h, ref) for h in tau._span_normals()]
+        g = gcd(*q)
+        v = complex_._normals[key] = (tuple(x // g for x in q), ref, g)
     return v
 
 
 def check_balancing(a: TropicalCycle) -> BalancingReport:
+    """At every codimension-1 cell tau, the weighted classes p of the
+    adjacent cells' lattice normals in Z^n / L(tau) (``_normal_vector``)
+    must sum to zero."""
     failures = []
     for tau_idx, sigmas in a.codim1_cells().items():
-        tau = a.complex.cells[tau_idx]
-        total = (0,) * a.complex.ambient_dim
+        total = [0] * len(a.complex.cells[tau_idx]._span_normals())
         for s in sigmas:
-            v, w = _normal_vector(a.complex, tau_idx, s), a.weights[s]
-            total = tuple(t + w * x for t, x in zip(total, v))
-        if any(vdot(h, total) for h in tau._span_normals()):
+            p, w = _normal_vector(a.complex, tau_idx, s)[0], a.weights[s]
+            total = [t + w * x for t, x in zip(total, p)]
+        if any(total):
             failures.append(
-                f"balancing fails at cell {tau_idx}: weighted normal sum {total} "
-                f"not in the span of the cell"
+                f"balancing fails at cell {tau_idx}: the weighted lattice normals "
+                f"sum to the class {tuple(total)}, not 0"
             )
     return BalancingReport(ok=not failures, failures=failures)
 
@@ -155,8 +164,11 @@ class CartierFunction:
 
 
 def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> TropicalCycle:
-    """Corner locus of phi on its cycle: the codimension-1 cycle with the
-    standard primitive-normal weight rule; zero-weight cells are dropped."""
+    """Corner locus of phi on its cycle: the codimension-1 cycle whose
+    weight at tau is sum w_sigma (l_sigma − l_tau)(u_sigma), l the linear
+    parts of phi and u_sigma sigma's lattice normal; zero-weight cells are
+    dropped. The sum depends on the classes of the u_sigma in Z^n / L(tau)
+    only, and ref / g stands for that class (``_normal_vector``)."""
     if a is None:
         a = phi.cycle
     if a is not phi.cycle:
@@ -166,13 +178,17 @@ def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> T
         return TropicalCycle(complex_, max(a.dim - 1, 0), {})
     new_weights: dict[int, int] = {}
     for tau_idx, sigmas in a.codim1_cells().items():
-        total = (0,) * complex_.ambient_dim
+        l_tau = phi.linear_on_face(tau_idx, sigmas[0])
         weight = 0
         for s in sigmas:
-            v, w = _normal_vector(complex_, tau_idx, s), a.weights[s]
-            weight += w * vdot(phi.pieces[s][0], v)
-            total = tuple(t + w * x for t, x in zip(total, v))
-        weight -= vdot(phi.linear_on_face(tau_idx, sigmas[0]), total)
+            _, ref, g = _normal_vector(complex_, tau_idx, s)
+            # l_sigma − l_tau vanishes on tau, so it is an integer combination
+            # of tau's span normals and its value on ref is a multiple of g.
+            value, rest = divmod(sum((x - y) * r for x, y, r
+                                     in zip(phi.pieces[s][0], l_tau, ref)), g)
+            if rest:
+                raise ValueError(f"pieces of cells {s},{sigmas[0]} differ on face {tau_idx}")
+            weight += a.weights[s] * value
         if weight:
             new_weights[tau_idx] = weight
     return TropicalCycle(complex_, a.dim - 1, new_weights)

@@ -54,12 +54,6 @@ class TropicalPolynomial:
         xv = tuple(frac(c) for c in x)
         return max(vdot(e, xv) + c for e, c in self.terms.items())
 
-    def argmax(self, x) -> frozenset:
-        xv = tuple(frac(c) for c in x)
-        vals = {e: vdot(e, xv) + c for e, c in self.terms.items()}
-        m = max(vals.values())
-        return frozenset(e for e, v in vals.items() if v == m)
-
     def __repr__(self):
         return f"TropicalPolynomial(n={self.n}, terms={len(self.terms)})"
 

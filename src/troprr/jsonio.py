@@ -192,6 +192,7 @@ def matroid_to_json(m: Matroid) -> dict:
 
 
 def matroid_from_json(data: dict, path: str = "$") -> Matroid:
+    """A matroid that has a Bergman fan: of positive rank and loopless."""
     _expect(isinstance(data, dict), path, "expected an object")
     n = _int(data.get("n"), f"{path}.n")
     raw = data.get("bases")
@@ -199,7 +200,11 @@ def matroid_from_json(data: dict, path: str = "$") -> Matroid:
             "expected a nonempty list")
     _expect(0 <= n <= _MAX_GROUND, f"{path}.n", f"expected 0 <= n <= {_MAX_GROUND}")
     bases = [_int_vec(b, f"{path}.bases[{i}]") for i, b in enumerate(raw)]
-    return _at(f"{path}.bases", Matroid, n, bases)
+    m = _at(f"{path}.bases", Matroid, n, bases)
+    _expect(m.rank_value > 0, f"{path}.bases", "expected a matroid of positive rank")
+    loops = sorted(m.loops())
+    _expect(not loops, f"{path}.bases", f"expected a loopless matroid, got loops {loops}")
+    return m
 
 
 def polygon_from_json(data: dict, path: str = "$") -> LatticePolytope:

@@ -9,10 +9,13 @@ objects are built only for the results that are rational: the entries of
 ``rref`` and ``solve_linear``, and the value of ``det``.
 
 Every question about a saturated lattice (an integer kernel, the lattice of
-a span, a quotient generator) is answered by one Hermite normal form,
-``_hermite`` (Cohen, *A Course in Computational Algebraic Number Theory*,
-GTM 138, §2.4), built from extended-gcd row operations (``_xgcd``). It
-gives each lattice one canonical basis.
+a span, the covectors that vanish on a cell) is answered by a Hermite normal
+form, ``_hermite`` (Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, §2.4), built from extended-gcd row operations (``_xgcd``).
+Its unimodular transform U gives a saturated basis of a left kernel in one
+pass; a second pass gives each lattice one canonical basis. A quotient
+Z^n / L is read through such a basis N of the covectors vanishing on L:
+N maps Z^n onto Z^c with kernel L, so a class is an integer vector.
 """
 
 from __future__ import annotations
@@ -277,46 +280,3 @@ def in_span(v: Sequence, vectors: Sequence[Sequence]) -> bool:
         return False
     return matrix_rank(vecs) == matrix_rank(list(vecs) + [list(v)])
 
-
-def quotient_generator(
-    tau_normals: Sequence[Sequence[int]],
-    sigma_lattice: Sequence[Sequence[int]],
-    reference: Sequence[int],
-) -> IntVec:
-    """Primitive generator of (lattice of sigma) / (lattice of tau), oriented
-    so it points to the same side of tau as ``reference``.
-
-    tau_normals: integer vectors spanning the covectors that vanish on tau's
-    direction space (dim one less than sigma's), such as ``_kernel_rows``
-    of tau's directions. sigma_lattice: integer basis of sigma's saturated
-    direction lattice. reference: an integer vector in sigma's span not in
-    tau's span. Nothing here builds a ``Fraction``.
-    """
-    # The functional ell is the first normal nonzero on sigma. Each kernel
-    # row is a positive multiple of the matching rational kernel row, and the
-    # gcd combination below does not change when every value is scaled by
-    # the same positive factor, so the result is the one the rational
-    # functional gives.
-    ell = next((c for c in tau_normals if any(vdot(c, b) for b in sigma_lattice)), None)
-    if ell is None:
-        raise ValueError("sigma does not properly contain tau")
-    # Image ell(sigma lattice) is a subgroup gZ of Z, g > 0; the extended
-    # euclidean recombination finds a lattice vector w with ell(w) = g.
-    coeffs = _extended_gcd_combo([vdot(ell, b) for b in sigma_lattice])
-    w = tuple(sum(c * b[i] for c, b in zip(coeffs, sigma_lattice))
-              for i in range(len(reference)))
-    ref_val = vdot(ell, reference)
-    if ref_val == 0:
-        raise ValueError("reference vector lies in tau's span")
-    return w if ref_val > 0 else tuple(-x for x in w)
-
-
-def _extended_gcd_combo(values: Sequence[int]) -> list[int]:
-    """Integer coefficients c with sum(c_i * values_i) = gcd(values) > 0."""
-    g, coeffs = 0, []
-    for v in values:
-        g, s, t = _xgcd(g, v)
-        coeffs = [s * c for c in coeffs] + [t]
-    if g == 0:
-        raise ValueError("all values are zero")
-    return coeffs

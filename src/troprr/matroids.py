@@ -242,14 +242,12 @@ def bergman_complex(m: Matroid):
     """Cone complex of the Bergman fan in pinned R^(n-1): one cone per chain
     of proper nonempty flats. Returns (complex, chain list)."""
     n = m.n
-    chains = sorted(set(_chains(m.proper_flats())),
-                    key=lambda c: (len(c), [sorted(f) for f in c]))
+    flats = m.proper_flats()
+    ray = {f: flat_generator(f, n) for f in flats}
+    chains = sorted(set(_chains(flats)), key=lambda c: (len(c), [sorted(f) for f in c]))
     index = {c: i for i, c in enumerate(chains)}
     origin = tuple(0 for _ in range(n - 1))
-    cells = []
-    for c in chains:
-        rays = [flat_generator(f, n) for f in c]
-        cells.append(Polyhedron([origin], rays=rays))
+    cells = [Polyhedron([origin], rays=[ray[f] for f in c]) for c in chains]
     relation = set()
     for c in chains:
         if not c:

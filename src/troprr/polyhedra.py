@@ -29,13 +29,13 @@ from .linalg import (
     IntVec,
     Vec,
     _eliminate,
+    _hermite,
     _kernel_rows,
     _scale_to_int,
     det,
     frac,
     gcd_list,
     in_span,
-    integer_kernel,
     lattice_basis_of_span,
     matrix_rank,
     primitive,
@@ -137,7 +137,6 @@ class Polyhedron:
         self._gens = None
         self._int_dirs = None
         self._perp = None
-        self._lattice = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -160,19 +159,18 @@ class Polyhedron:
         return self.ambient_dim - len(self._span_normals())
 
     def _span_normals(self) -> list[IntVec]:
-        """Primitive integer covectors spanning those that vanish on the
-        direction space: the ``_kernel_rows`` of the integer directions
-        (every unit vector for a point). Built once."""
+        """A basis N of the integer covectors that vanish on the direction
+        space: the rows of U past the rank in the Hermite normal form of the
+        transposed integer directions (the unit vectors for a point). U is
+        unimodular, so N maps Z^n onto Z^c with kernel L, the saturated
+        lattice of the directions: N·v is the class of v in Z^n / L. Built
+        once."""
         if self._perp is None:
-            self._perp = _kernel_rows(*_eliminate(self._integer_directions()),
-                                      self.ambient_dim)
+            dirs = self._integer_directions()
+            _, u, rank = _hermite([[d[j] for d in dirs] for j in range(self.ambient_dim)],
+                                  len(dirs))
+            self._perp = [tuple(row) for row in u[rank:]]
         return self._perp
-
-    def lattice_basis(self) -> list[IntVec]:
-        """Integer basis of the saturated lattice of the direction space."""
-        if self._lattice is None:
-            self._lattice = integer_kernel(self._span_normals(), self.ambient_dim)
-        return self._lattice
 
     def is_cone(self) -> bool:
         zero = tuple(Fraction(0) for _ in range(self.ambient_dim))

@@ -189,10 +189,12 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
     (["csm"], '{"n": 3, "bases": [[1], [1, 2]]}', "$.bases: bases must be equicardinal"),
     (["csm"], '{"n": 2, "bases": [[1, 3]]}', "$.bases: basis outside the ground set"),
     (["csm"], '{"n": 13, "bases": [[1]]}', "$.n: expected 0 <= n <= 12"),
+    (["csm"], '{"n": 0, "bases": [[]]}', "$.bases: expected a matroid of positive rank"),
+    (["csm"], '{"n": 3, "bases": [[1]]}', "$.bases: expected a loopless matroid, got loops [2, 3]"),
     (["euler", "hypersurface"], '{"n": 2, "terms": [{"exp": [0,0], "coeff": "0"},'
      ' {"exp": [1,0], "coeff": "0"}]}', "$.terms: Newton polytope must be full-dimensional"),
 ], ids=["no-vertex", "endpoint", "disconnected", "superscript-index", "unequal-bases",
-        "outside-ground", "ground-size", "not-full-dimensional"])
+        "outside-ground", "ground-size", "rank-0", "loops", "not-full-dimensional"])
 def test_invalid_json_input_exits_1_with_json_path(commands, data, message, capsys):
     for command in commands:
         assert main([command, data]) == 1

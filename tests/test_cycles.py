@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
-from test_linalg import oracle_quotient_generator
+from test_linalg import cone_pairs, oracle_quotient_generator, quotient_generator
 from troprr.cycles import (
     CartierFunction,
     TropicalCycle,
@@ -23,6 +23,7 @@ from troprr.cycles import (
 )
 from troprr.hypersurface import (
     ambient_cycle,
+    cartier_from_polynomial,
     is_smooth,
     polynomial_from_heights,
     random_smooth_polynomial,
@@ -30,6 +31,10 @@ from troprr.hypersurface import (
     tropical_hypersurface,
 )
 from troprr.linalg import (
+    _eliminate,
+    _kernel_rows,
+    det,
+    gcd_list,
     in_span,
     is_zero_vec,
     lattice_basis_of_span,
@@ -38,6 +43,7 @@ from troprr.linalg import (
     vdot,
     vsub,
 )
+from troprr.matroids import csm_cycle, uniform_matroid
 from troprr.polyhedra import (
     PolyhedralComplex,
     Polyhedron,
@@ -287,6 +293,16 @@ def oracle_normal_vector(c, tau_idx, sigma_idx):
     return oracle_quotient_generator(directions(tau), lattice, ref, c.ambient_dim)
 
 
+def assert_normal_is_the_oracle_class(c, tau_idx, sigma_idx):
+    """_normal_vector's (p, ref, g) is the oracle's lattice normal u read in
+    Z^n / L(tau) through tau's span normals N: p == N·u and N·ref == g·p."""
+    p, ref, g = _normal_vector(c, tau_idx, sigma_idx)
+    normals = c.cells[tau_idx]._span_normals()
+    u = oracle_normal_vector(c, tau_idx, sigma_idx)
+    assert p == tuple(vdot(h, u) for h in normals), (tau_idx, sigma_idx)
+    assert tuple(vdot(h, ref) for h in normals) == tuple(g * x for x in p), (tau_idx, sigma_idx)
+
+
 def smooth_polynomial(n, d, seed):
     """A random smooth polynomial on the lattice points of d * Delta_n:
     strictly concave heights plus a jitter, drawn again until smooth."""
@@ -317,10 +333,89 @@ def test_memoized_normals_match_fraction_path_on_dual_complexes(n, d, seed):
         for layer in power_tower(f, base).layers:
             pairs |= {(tau, s) for tau, sigmas in layer.codim1_cells().items() for s in sigmas}
         for tau_idx, sigma_idx in sorted(pairs):
-            assert _normal_vector(c, tau_idx, sigma_idx) == \
-                oracle_normal_vector(c, tau_idx, sigma_idx), (tau_idx, sigma_idx)
+            assert_normal_is_the_oracle_class(c, tau_idx, sigma_idx)
         checked += len(pairs)
     assert checked > 0
+
+
+def test_index_two_normal_class():
+    # The segment from the origin to (2, 2) at its vertex: the reference is
+    # (2, 2), twice the class (1, 1) of the primitive normal.
+    c = PolyhedralComplex(2, [Polyhedron([(0, 0)]), Polyhedron([(0, 0), (2, 2)])], {(0, 1)})
+    assert _normal_vector(c, 0, 1) == ((1, 1), (2, 2), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_pairs(), st.sampled_from([1, -1]))
+@example(([], [[2, 2]], [2, 2]), 1)
+@example(([], [[2, 2]], [2, 2]), -1)
+@example(([[1, 0, 0]], [[1, 0, 0], [0, 2, 4]], [0, 2, 4]), 1)
+def test_normal_class_matches_the_quotient_generator(pair, side):
+    """tau the span of tau's generators, sigma tau plus the segment from the
+    origin to side·extra: tau's span normals N are a saturated basis of the
+    covectors vanishing on tau, and (p, ref, g) is the class of the moved
+    ``quotient_generator``'s lift."""
+    tau_gens, sigma_gens, extra = pair
+    n = len(extra)
+    origin = (0,) * n
+    lin = [v for v in tau_gens if any(v)]
+    end = tuple(side * x for x in extra)
+    c = PolyhedralComplex(n, [Polyhedron([origin], lineality=lin),
+                              Polyhedron([origin, end], lineality=lin)], {(0, 1)})
+    normals = c.cells[0]._span_normals()
+    codim = n - matrix_rank(lin)
+    assert len(normals) == codim
+    assert not any(vdot(h, v) for h in normals for v in lin)
+    # N maps Z^n onto Z^codim iff its maximal minors are coprime.
+    minors = (det([[h[j] for j in cols] for h in normals])
+              for cols in itertools.combinations(range(n), codim))
+    assert gcd_list(int(m) for m in minors) == 1
+    u = quotient_generator(_kernel_rows(*_eliminate(tau_gens), n),
+                           lattice_basis_of_span(sigma_gens, n), end)
+    p, ref, g = _normal_vector(c, 0, 1)
+    assert p == tuple(vdot(h, u) for h in normals)
+    assert tuple(vdot(h, ref) for h in normals) == tuple(g * x for x in p)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: csm_cycle(uniform_matroid(3, 5), 1),
+    lambda: csm_cycle(uniform_matroid(3, 5), 2),
+    lambda: tropical_hypersurface(smooth_simplex_polynomial(3, 2)),
+], ids=["csm-U35-1", "csm-U35-2", "hypersurface-R3"])
+def test_one_perturbed_weight_fails_balancing(build):
+    cycle = build()
+    assert check_balancing(cycle).ok
+    for i in cycle.weights:
+        weights = dict(cycle.weights)
+        weights[i] += 1
+        assert not check_balancing(TropicalCycle(cycle.complex, cycle.dim, weights)).ok, i
+
+
+def oracle_divisor_weights(phi):
+    """sum w l_sigma(u) − l_tau(sum w u) at every codimension-1 cell tau,
+    with the oracle's integer lifts u of the lattice normals."""
+    a, c = phi.cycle, phi.cycle.complex
+    out = {}
+    for tau_idx, sigmas in a.codim1_cells().items():
+        total, weight = [0] * c.ambient_dim, 0
+        for s in sigmas:
+            u, w = oracle_normal_vector(c, tau_idx, s), a.weights[s]
+            weight += w * vdot(phi.pieces[s][0], u)
+            total = [t + w * x for t, x in zip(total, u)]
+        weight -= vdot(phi.pieces[sigmas[0]][0], total)
+        if weight:
+            out[tau_idx] = weight
+    return out
+
+
+@pytest.mark.parametrize("f", [
+    smooth_polynomial(2, 3, 7), smooth_polynomial(3, 2, 8), smooth_simplex_polynomial(4, 1),
+], ids=["R2-d3", "R3-d2", "hyperplane-R4"])
+def test_divisor_weights_match_the_oracle_lifts(f):
+    tower = power_tower(f, ambient_cycle(f))
+    assert len(tower.layers) == f.n + 1
+    for layer, below in zip(tower.layers, tower.layers[1:]):
+        assert below.weights == oracle_divisor_weights(cartier_from_polynomial(f, layer))
 
 
 # -- relative uniformity, against a Smith normal form oracle --------------------

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,17 +9,17 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
 from troprr.linalg import (
+    IntVec,
     _eliminate,
-    _extended_gcd_combo,
     _kernel_rows,
     _scale_to_int,
+    _xgcd,
     det,
     in_span,
     integer_kernel,
     lattice_basis_of_span,
     matrix_rank,
     primitive,
-    quotient_generator,
     rref,
     sign_normalize,
     solve_linear,
@@ -237,6 +238,56 @@ def test_solve_linear_inconsistent_and_empty():
 def test_det_matches_leibniz_expansion(rows):
     got = det(rows)
     assert type(got) is Fraction and got == oracle_det(rows)
+
+
+# -- the integer-lift quotient generator, the oracle of the lattice normals ----
+#
+# Moved here unchanged from ``troprr.linalg``, where lattice normals are now
+# read as classes in Z^n / L(tau) (``troprr.cycles._normal_vector``).
+
+
+def quotient_generator(
+    tau_normals: Sequence[Sequence[int]],
+    sigma_lattice: Sequence[Sequence[int]],
+    reference: Sequence[int],
+) -> IntVec:
+    """Primitive generator of (lattice of sigma) / (lattice of tau), oriented
+    so it points to the same side of tau as ``reference``.
+
+    tau_normals: integer vectors spanning the covectors that vanish on tau's
+    direction space (dim one less than sigma's), such as ``_kernel_rows``
+    of tau's directions. sigma_lattice: integer basis of sigma's saturated
+    direction lattice. reference: an integer vector in sigma's span not in
+    tau's span. Nothing here builds a ``Fraction``.
+    """
+    # The functional ell is the first normal nonzero on sigma. Each kernel
+    # row is a positive multiple of the matching rational kernel row, and the
+    # gcd combination below does not change when every value is scaled by
+    # the same positive factor, so the result is the one the rational
+    # functional gives.
+    ell = next((c for c in tau_normals if any(vdot(c, b) for b in sigma_lattice)), None)
+    if ell is None:
+        raise ValueError("sigma does not properly contain tau")
+    # Image ell(sigma lattice) is a subgroup gZ of Z, g > 0; the extended
+    # euclidean recombination finds a lattice vector w with ell(w) = g.
+    coeffs = _extended_gcd_combo([vdot(ell, b) for b in sigma_lattice])
+    w = tuple(sum(c * b[i] for c, b in zip(coeffs, sigma_lattice))
+              for i in range(len(reference)))
+    ref_val = vdot(ell, reference)
+    if ref_val == 0:
+        raise ValueError("reference vector lies in tau's span")
+    return w if ref_val > 0 else tuple(-x for x in w)
+
+
+def _extended_gcd_combo(values: Sequence[int]) -> list[int]:
+    """Integer coefficients c with sum(c_i * values_i) = gcd(values) > 0."""
+    g, coeffs = 0, []
+    for v in values:
+        g, s, t = _xgcd(g, v)
+        coeffs = [s * c for c in coeffs] + [t]
+    if g == 0:
+        raise ValueError("all values are zero")
+    return coeffs
 
 
 def oracle_quotient_generator(tau_span, sigma_lattice, reference, ambient_dim):

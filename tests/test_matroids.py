@@ -5,9 +5,9 @@ from math import comb
 
 import pytest
 
-from test_cycles import oracle_normal_vector
+from test_cycles import assert_normal_is_the_oracle_class
 from test_polyhedra import unpruned_cone_in_union
-from troprr import matroids
+from troprr import linalg, matroids, polyhedra
 from troprr.cycles import _normal_vector, check_balancing, degree, power_tower
 from troprr.hypersurface import TropicalPolynomial, tropical_hypersurface
 from troprr.matroids import (
@@ -156,9 +156,36 @@ SHARED_IDS = ["U35", "U46", "K4"]
 def test_memoized_normals_match_fraction_quotient_generator(m):
     c, _ = bergman_complex(m)
     for tau_idx, sigma_idx in c.face_relation:
-        expected = oracle_normal_vector(c, tau_idx, sigma_idx)
-        assert _normal_vector(c, tau_idx, sigma_idx) == expected
+        assert_normal_is_the_oracle_class(c, tau_idx, sigma_idx)
         assert _normal_vector(c, tau_idx, sigma_idx) is _normal_vector(c, tau_idx, sigma_idx)
+
+
+def test_bergman_complex_builds_each_flat_generator_once(monkeypatch):
+    calls = []
+    real = matroids.flat_generator
+    monkeypatch.setattr(matroids, "flat_generator", lambda f, n: calls.append(f) or real(f, n))
+    m = uniform_matroid(4, 7)
+    bergman_complex(m)
+    assert len(calls) == len(m.proper_flats())
+
+
+def test_balancing_runs_at_most_one_hermite_form_per_cell(monkeypatch):
+    calls = []
+    real = linalg._hermite
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_hermite", counting)
+    monkeypatch.setattr(polyhedra, "_hermite", counting)
+    monkeypatch.setattr(matroids, "_last_complex", {})
+    m = uniform_matroid(4, 7)
+    fan = bergman_fan(m)
+    assert check_balancing(fan).ok
+    for k in range(m.rank_value):
+        assert check_balancing(csm_cycle(m, k)).ok
+    assert 0 < len(calls) <= len(fan.complex.cells)
 
 
 def test_fan_and_csm_cycles_share_one_complex(monkeypatch):
