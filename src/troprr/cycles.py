@@ -157,11 +157,6 @@ class CartierFunction:
                         f"affine pieces of cells {s1},{s2} disagree on face {tau_idx}"
                     )
 
-    def linear_on_face(self, tau_idx: int, adjacent_sigma: int):
-        """Linear part valid on the face tau (restriction of any adjacent
-        piece; they agree on tau's directions)."""
-        return self.pieces[adjacent_sigma][0]
-
 
 def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> TropicalCycle:
     """Corner locus of phi on its cycle: the codimension-1 cycle whose
@@ -178,7 +173,8 @@ def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> T
         return TropicalCycle(complex_, max(a.dim - 1, 0), {})
     new_weights: dict[int, int] = {}
     for tau_idx, sigmas in a.codim1_cells().items():
-        l_tau = phi.linear_on_face(tau_idx, sigmas[0])
+        # Any adjacent piece restricts to tau: they agree on its directions.
+        l_tau = phi.pieces[sigmas[0]][0]
         weight = 0
         for s in sigmas:
             _, ref, g = _normal_vector(complex_, tau_idx, s)
@@ -197,8 +193,7 @@ def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> T
 class DivisorPowerTower:
     """Cycles X, D.X, D^2.X, ... sharing one master complex, with supports."""
 
-    def __init__(self, base_poly, layers: list[TropicalCycle]):
-        self.base = base_poly
+    def __init__(self, layers: list[TropicalCycle]):
         self.layers = layers
 
     def support(self, k: int) -> set[int]:
@@ -224,7 +219,7 @@ def power_tower(f, x_cycle: TropicalCycle, kmax: int | None = None) -> DivisorPo
         phi = cartier_from_polynomial(f, current)
         current = divisor_intersect(phi)
         layers.append(current)
-    return DivisorPowerTower(f, layers)
+    return DivisorPowerTower(layers)
 
 
 # -- position checks -----------------------------------------------------------

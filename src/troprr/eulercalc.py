@@ -183,18 +183,20 @@ def point_in_cell_interior(cycle: TropicalCycle, x) -> bool:
 def curve_intersection_points(f_curve: TropicalPolynomial,
                               f_other: TropicalPolynomial):
     """Points of D' cap D inside the compactified curve D of f_curve, stratum
-    by stratum; raises if an intersection point is not a smooth interior
-    point of the curve (retry with a different seed in that case)."""
+    by stratum, for a D' whose Newton polytope shares its normal fan; raises
+    if an intersection point is not a smooth interior point of both curves
+    (retry with a different seed in that case), so the check is symmetric
+    and one call per pair makes it."""
     p = _subdivision_of(f_curve).polytope
     points = []
     for fdim, fverts in p.faces():
         if fdim == 0:
             continue
+        ff = face_polynomial(f_curve, p, fverts)
+        gg = face_polynomial(f_other, p, fverts)
         if fdim == 1:
-            # Boundary strata: the curve meets them in points; demand that D'
-            # stays away from those points.
-            ff = face_polynomial(f_curve, p, fverts)
-            gg = face_polynomial(f_other, p, fverts)
+            # Boundary strata: each curve meets them in points; demand that
+            # the two curves do not share one.
             if len(ff.terms) < 2 or len(gg.terms) < 2:
                 continue
             hf, hg = tropical_hypersurface(ff), tropical_hypersurface(gg)
@@ -204,13 +206,11 @@ def curve_intersection_points(f_curve: TropicalPolynomial,
                 raise ValueError("second curve hits a boundary point of the "
                                  "first; re-seed the instance")
             continue
-        ff = face_polynomial(f_curve, p, fverts)
-        gg = face_polynomial(f_other, p, fverts)
-        curve = tropical_hypersurface(ff)
+        curves = (tropical_hypersurface(ff), tropical_hypersurface(gg))
         pts = divisor_intersect(restrict_to_hypersurface(gg, ff))
         for i, w in pts.weights.items():
             x = pts.complex.cells[i].vertices[0]
-            if not point_in_cell_interior(curve, x):
+            if not all(point_in_cell_interior(c, x) for c in curves):
                 raise ValueError("intersection point hits a curve vertex")
             points.append((fdim, fverts, x, w))
     return points

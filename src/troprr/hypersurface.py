@@ -1,7 +1,7 @@
 """Tropical polynomials (max-plus), regular subdivisions of Newton polytopes,
-hypersurface cycles as dual complexes, and piecewise-affine restrictions of
-polynomials to cycles: to a cycle on whose cells the polynomial is affine,
-and to the hypersurface of another polynomial, in any dimension, on the
+hypersurface cycles as dual complexes, and Cartier restrictions of
+polynomials, each piece read off a dual face: of f to a cycle on its own
+dual complex, and of g to the hypersurface of f, in any dimension, on the
 complex of their tropical product."""
 
 from __future__ import annotations
@@ -272,60 +272,23 @@ def complement_components(f: TropicalPolynomial):
 # -- restriction of a polynomial to a cycle -----------------------------------
 
 
-def _dominates(a, ca, b, cb, cell: Polyhedron) -> bool:
-    """Whether <a,x>+ca >= <b,x>+cb on the whole cell."""
-    diff = vsub(a, b)
-    for v in cell.vertices:
-        if vdot(diff, v) + (ca - cb) < 0:
-            return False
-    for r in cell.rays:
-        if vdot(diff, r) < 0:
-            return False
-    for l in cell.lineality:
-        if vdot(diff, l) != 0:
-            return False
-    return True
-
-
 def cartier_from_polynomial(f: TropicalPolynomial, cycle: TropicalCycle) -> CartierFunction:
-    """Restrict f to the cycle as a Cartier function: one dominating term per
-    weighted cell.
-
-    On the complex dual to f's own subdivision (its hypersurface, its
-    ambient cycle and every layer of their power towers) f is affine on
-    each cell, and every member of the cell's dual face is a term that
-    attains the max on the whole cell; the piece is the smallest member,
-    the first dominating term in sorted order. On any other complex each
-    cell's piece is searched for among the terms maximal at a relative
-    interior point. A cycle with a cell on which f is not affine is
-    rejected; to cut a polynomial g with the hypersurface of another, use
+    """Restrict f to a cycle on its own dual complex (its hypersurface, its
+    ambient cycle and every layer of their power towers) as a Cartier
+    function. f is affine on each cell there, and every member of the
+    cell's dual face attains the max on the whole cell; the piece is the
+    smallest member. A cycle on any other complex is rejected: to cut a
+    polynomial g with the hypersurface of another, use
     ``restrict_to_hypersurface``, whose complex refines both."""
     complex_ = cycle.complex
-    if isinstance(complex_, DualComplex) and complex_.terms == f.terms:
-        pieces = {}
-        for i in sorted(cycle.weights):
-            e = min(complex_.faces[i])
-            pieces[i] = (e, f.terms[e])
-        return CartierFunction(cycle, pieces)
-    terms = sorted(f.terms.items())
+    if not (isinstance(complex_, DualComplex) and complex_.terms == f.terms):
+        raise ValueError("the cycle is not on the polynomial's own dual complex; "
+                         "restrict to another polynomial's hypersurface with "
+                         "restrict_to_hypersurface")
     pieces = {}
     for i in sorted(cycle.weights):
-        cell = complex_.cells[i]
-        p = cell.relative_interior_point()
-        vals = [(vdot(e, p) + c, e, c) for e, c in terms]
-        m = max(v for v, _, _ in vals)
-        piece = None
-        for v, e, c in vals:
-            if v == m and all(
-                _dominates(e, c, b, cb, cell) for b, cb in terms if b != e
-            ):
-                piece = (e, c)
-                break
-        if piece is None:
-            raise ValueError(
-                f"polynomial is not affine on weighted cell {i} of the cycle"
-            )
-        pieces[i] = piece
+        e = min(complex_.faces[i])
+        pieces[i] = (e, f.terms[e])
     return CartierFunction(cycle, pieces)
 
 
@@ -404,16 +367,20 @@ def smooth_simplex_polynomial(n: int, d: int) -> TropicalPolynomial:
     return polynomial_from_heights(n, pts, alcove_heights(pts, max(d, 1)))
 
 
-def random_smooth_polynomial(points, seed: int = 0, max_retries: int = 50) -> TropicalPolynomial:
+SMOOTH_DRAWS = 50
+
+
+def random_smooth_polynomial(points, seed: int = 0) -> TropicalPolynomial:
     """Random smooth polynomial in two variables using all the given lattice
-    points: strictly concave base heights plus a small jitter, retried until
-    the induced subdivision is a unimodular triangulation."""
+    points: strictly concave base heights plus a small jitter, drawn again
+    (up to SMOOTH_DRAWS times) until the induced subdivision is a
+    unimodular triangulation."""
     pts = [tuple(int(c) for c in p) for p in points]
     n = len(pts[0])
     if n != 2:
         raise ValueError("random smooth generation is implemented for the plane")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(SMOOTH_DRAWS):
         heights = [
             Fraction(-(x * x + y * y)) + Fraction(rng.randint(0, 10**6), 8 * 10**6)
             for x, y in pts
@@ -423,4 +390,4 @@ def random_smooth_polynomial(points, seed: int = 0, max_retries: int = 50) -> Tr
         used = set().union(*(set(e) for e, _ in sub.maximal_cells))
         if sub.is_smooth() and len(used) == len(pts):
             return f
-    raise ValueError("failed to draw a smooth polynomial; enlarge retries")
+    raise ValueError(f"no smooth polynomial in {SMOOTH_DRAWS} draws")

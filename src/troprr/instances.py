@@ -110,7 +110,8 @@ def curve_pair(q1: LatticePolytope, q2: LatticePolytope, seed: int,
                retries: int = 25) -> CurvePair:
     """Seeded transverse pair of smooth curves with Newton polytopes q1, q2
     (which must share a normal fan); retried until every intersection point
-    is a simple interior point of both curves."""
+    is a simple interior point of both curves, which one
+    ``curve_intersection_points(f, g)`` checks."""
     surf = fan_from_polygon(q1)
     if fan_from_polygon(q2).rays != surf.rays:
         raise ValueError("the polygons of D and D' must share a normal fan")
@@ -125,7 +126,6 @@ def curve_pair(q1: LatticePolytope, q2: LatticePolytope, seed: int,
         g = polygon_instance(q2, s2)
         try:
             pts = curve_intersection_points(f, g)
-            curve_intersection_points(g, f)
         except ValueError:
             continue
         if len(pts) != expected or any(w != 1 for _, _, _, w in pts):

@@ -231,6 +231,7 @@ def polynomial_to_json(f: TropicalPolynomial) -> dict:
 def polynomial_from_json(data: dict, path: str = "$") -> TropicalPolynomial:
     _expect(isinstance(data, dict), path, "expected an object")
     n = _int(data.get("n"), f"{path}.n")
+    _expect(n >= 0, f"{path}.n", "expected n >= 0")
     raw = data.get("terms")
     _expect(isinstance(raw, list) and raw, f"{path}.terms",
             "expected a nonempty list")

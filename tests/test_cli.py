@@ -193,8 +193,11 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
     (["csm"], '{"n": 3, "bases": [[1]]}', "$.bases: expected a loopless matroid, got loops [2, 3]"),
     (["euler", "hypersurface"], '{"n": 2, "terms": [{"exp": [0,0], "coeff": "0"},'
      ' {"exp": [1,0], "coeff": "0"}]}', "$.terms: Newton polytope must be full-dimensional"),
+    (["euler", "hypersurface"], '{"n": -1, "terms": [{"exp": [], "coeff": 0}]}',
+     "$.n: expected n >= 0"),
 ], ids=["no-vertex", "endpoint", "disconnected", "superscript-index", "unequal-bases",
-        "outside-ground", "ground-size", "rank-0", "loops", "not-full-dimensional"])
+        "outside-ground", "ground-size", "rank-0", "loops", "not-full-dimensional",
+        "negative-n"])
 def test_invalid_json_input_exits_1_with_json_path(commands, data, message, capsys):
     for command in commands:
         assert main([command, data]) == 1

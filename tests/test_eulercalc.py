@@ -16,8 +16,15 @@ from troprr.eulercalc import (
     chi_curve_complement_on_surface,
     curve_intersection_points,
     face_polynomial,
+    point_in_cell_interior,
 )
-from troprr.hypersurface import TropicalPolynomial, newton_polytope, smooth_simplex_polynomial
+from troprr.hypersurface import (
+    TropicalPolynomial,
+    newton_polytope,
+    random_smooth_polynomial,
+    smooth_simplex_polynomial,
+    tropical_hypersurface,
+)
 from troprr.instances import (
     curve_pair,
     curve_pair_moderate,
@@ -30,7 +37,7 @@ from troprr.instances import (
     verify_polygon,
 )
 from troprr.linalg import lattice_basis_of_span, solve_linear, vsub
-from troprr.polyhedra import LatticePolytope, Polyhedron
+from troprr.polyhedra import LatticePolytope, Polyhedron, standard_simplex
 
 TRIANGLE = LatticePolytope([(0, 0), (1, 0), (0, 1)])
 CONIC_TRIANGLE = LatticePolytope([(0, 0), (2, 0), (0, 2)])
@@ -89,6 +96,19 @@ def test_curve_complement_counts_points():
     # chi of the compactified line is 1; two transverse punctures add 2.
     assert chi_curve_complement_on_surface(pair.f, pair.points) == 3
     assert len(curve_intersection_points(pair.f, pair.g)) == 2
+
+
+def test_one_intersection_pass_checks_both_curves():
+    """A line whose vertex sits inside a bounded edge of a conic's curve:
+    the point is a smooth point of the conic but a vertex of the line, so
+    the forward call alone must already refuse it."""
+    conic = random_smooth_polynomial(standard_simplex(2, 2).lattice_points(), 5)
+    vertex = (Fraction(15711241, 16000000), Fraction(15927437, 16000000))
+    line = TropicalPolynomial(2, {(0, 0): 0, (1, 0): -vertex[0], (0, 1): -vertex[1]})
+    assert point_in_cell_interior(tropical_hypersurface(conic), vertex)
+    for f, g in ((conic, line), (line, conic)):
+        with pytest.raises(ValueError, match="hits a curve vertex"):
+            curve_intersection_points(f, g)
 
 
 @pytest.mark.parametrize("v1,v2,seed", [

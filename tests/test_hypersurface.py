@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from troprr import hypersurface
 from troprr.cycles import (
+    CartierFunction,
     TropicalCycle,
     check_balancing,
     degree,
@@ -160,7 +161,7 @@ def test_line_times_shifted_line_via_refinement():
     g = TropicalPolynomial(2, {(0, 0): 0, (1, 0): -1})
     # g breaks the (1,1)-ray of the line at (1,1): it is not affine on the
     # line's own complex, and the restriction lives on the product's complex.
-    with pytest.raises(ValueError, match="not affine"):
+    with pytest.raises(ValueError, match="not on the polynomial's own dual complex"):
         cartier_from_polynomial(g, x)
     phi = restrict_to_hypersurface(g, line_poly())
     assert phi.cycle is not x
@@ -475,6 +476,21 @@ def test_alcoved_cube_subdivides_in_seconds(d, cells):
 # -- read off the subdivision, against the computations it replaces ----------
 
 
+def _dominates(a, ca, b, cb, cell: Polyhedron) -> bool:
+    """Whether <a,x>+ca >= <b,x>+cb on the whole cell."""
+    diff = vsub(a, b)
+    for v in cell.vertices:
+        if vdot(diff, v) + (ca - cb) < 0:
+            return False
+    for r in cell.rays:
+        if vdot(diff, r) < 0:
+            return False
+    for l in cell.lineality:
+        if vdot(diff, l) != 0:
+            return False
+    return True
+
+
 def searched_pieces(f, cycle):
     """Reference Cartier pieces: per weighted cell, the first term in sorted
     order that is maximal at a relative interior point and dominates every
@@ -487,7 +503,7 @@ def searched_pieces(f, cycle):
         vals = [(vdot(e, p) + c, e, c) for e, c in terms]
         m = max(v for v, _, _ in vals)
         pieces[i] = next(((e, c) for v, e, c in vals if v == m and all(
-            hypersurface._dominates(e, c, b, cb, cell) for b, cb in terms if b != e)), None)
+            _dominates(e, c, b, cb, cell) for b, cb in terms if b != e)), None)
     return pieces
 
 
@@ -521,9 +537,12 @@ def test_dual_face_pieces_need_the_same_terms():
     # The same terms as a separate polynomial read the dual faces ...
     same = TropicalPolynomial(2, dict(line_poly().terms))
     assert cartier_from_polynomial(same, x).pieces == searched_pieces(same, x)
-    # ... other terms on the line's complex are searched for.
+    # ... other terms on the line's complex are refused; the search still
+    # finds the one term of g on every cell.
     g = TropicalPolynomial(2, {(1, 0): 5})
-    assert cartier_from_polynomial(g, x).pieces == {i: ((1, 0), 5) for i in x.weights}
+    with pytest.raises(ValueError, match="restrict_to_hypersurface"):
+        cartier_from_polynomial(g, x)
+    assert searched_pieces(g, x) == {i: ((1, 0), 5) for i in x.weights}
 
 
 # -- restriction to a hypersurface, against the curve refinement it replaces --
@@ -617,7 +636,8 @@ def refine_curve_by_polynomial(f: TropicalPolynomial, cycle: TropicalCycle) -> T
 def refined_restriction(g, f):
     """Reference restriction of g to the curve of f: the curve refined at
     g's breakpoints, then each piece searched for."""
-    return cartier_from_polynomial(g, refine_curve_by_polynomial(g, tropical_hypersurface(f)))
+    refined = refine_curve_by_polynomial(g, tropical_hypersurface(f))
+    return CartierFunction(refined, searched_pieces(g, refined))
 
 
 def divisor_points(phi):
@@ -666,4 +686,5 @@ def test_surface_cut_twice_by_a_second_polynomial(d, e):
                                for p in standard_simplex(3, e).lattice_points()})
     curve = divisor_intersect(restrict_to_hypersurface(g, f))
     assert check_balancing(curve).ok
-    assert degree(divisor_intersect(cartier_from_polynomial(g, curve))) == d * e * e
+    second = CartierFunction(curve, searched_pieces(g, curve))
+    assert degree(divisor_intersect(second)) == d * e * e
