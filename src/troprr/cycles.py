@@ -85,7 +85,8 @@ def _normal_vector(complex_: PolyhedralComplex, tau_idx: int, sigma_idx: int):
     ref is an integer vector of sigma's span pointing from tau into sigma:
     the sum over sigma's homogeneous generators g of t0[0]·g[1:] − g[0]·t0[1:],
     t0 the generator of tau's first vertex (tau is a face of sigma, so a
-    functional vanishing on tau's directions has one sign on every term).
+    functional vanishing on tau's directions has one sign on every term),
+    read off the generators' column sums S as t0[0]·S[1:] − S[0]·t0[1:].
     With N tau's ``_span_normals``, q = N·ref, g = gcd(q) and p = q / g.
     N maps Z^n onto Z^c with kernel L(tau), the saturated lattice of tau's
     directions, and sigma's saturated lattice maps onto a saturated line;
@@ -102,7 +103,8 @@ def _normal_vector(complex_: PolyhedralComplex, tau_idx: int, sigma_idx: int):
         tau = complex_.cells[tau_idx]
         t0 = _homogeneous_generators(tau)[0]
         gens = _homogeneous_generators(complex_.cells[sigma_idx])
-        ref = tuple(sum(t0[0] * g[i] - g[0] * t0[i] for g in gens)
+        total = [sum(col) for col in zip(*gens)]
+        ref = tuple(t0[0] * total[i] - t0[i] * total[0]
                     for i in range(1, complex_.ambient_dim + 1))
         q = [vdot(h, ref) for h in tau._span_normals()]
         g = gcd(*q)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -32,9 +33,7 @@ def frac(x) -> Fraction:
     """Coerce an int, string ("p/q"), or Fraction to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (str, int)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
@@ -52,7 +51,9 @@ def vscale(c, v: Sequence) -> Vec:
 
 
 def vdot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vdot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(v: Sequence) -> bool:

@@ -4,6 +4,7 @@ pinned coordinates, and matroid Chern-Schwartz-MacPherson cycles."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .cycles import TropicalCycle
 from .polyhedra import PolyhedralComplex, Polyhedron
@@ -246,7 +247,7 @@ def bergman_complex(m: Matroid):
     ray = {f: flat_generator(f, n) for f in flats}
     chains = sorted(set(_chains(flats)), key=lambda c: (len(c), [sorted(f) for f in c]))
     index = {c: i for i, c in enumerate(chains)}
-    origin = tuple(0 for _ in range(n - 1))
+    origin = (Fraction(0),) * (n - 1)
     cells = [Polyhedron([origin], rays=[ray[f] for f in c]) for c in chains]
     relation = set()
     for c in chains:

@@ -6,16 +6,19 @@ All polyhedra are stored as vertices + rays + lineality generators over exact
 rationals. The half-space representation is derived on demand, once, in
 primitive integer rows, with its facet incidence: per inequality, the bitmask
 of the generators it vanishes on (``facet_generators``). Containment tests
-evaluate the rows on a positive integer multiple of the homogenized point or
-direction. Both conversions are one integer double description
-(``_extreme_rays``): H->V on the homogenized cone with its lineality turned
-into equalities, so that the vertices and rays it returns are orthogonal to
-the lineality, and V->H on the dual cone, whose zero sets are the incidence.
+evaluate the rows on positive integer multiples of homogeneous points and
+directions (of another polyhedron: its cached generators); the dimension is
+the rank of the cached integer directions. Both conversions are one integer
+double description (``_extreme_rays``): H->V on the homogenized cone with its
+lineality turned into equalities, so that the vertices and rays it returns
+are orthogonal to the lineality, and V->H on the dual cone, whose zero sets
+are the incidence.
 Canonicalizing a pointed polyhedron, the faces of a lattice polytope (as
 intersections of facet point sets, ``_faces_from_facets``) and its fan
 triangulation read the incidence instead of evaluating rows.
-``cone_in_union`` splits its pieces with the same double-description cut
-(``_cut``), on integer generators.
+``cone_in_union`` keeps the polyhedra whose affine hull holds p, splits its
+pieces with the same double-description cut (``_cut``) on integer generators
+and reads coverage off per-hyperplane bitmasks.
 """
 
 from __future__ import annotations
@@ -137,6 +140,7 @@ class Polyhedron:
         self._gens = None
         self._int_dirs = None
         self._perp = None
+        self._dim = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -156,7 +160,10 @@ class Polyhedron:
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - len(self._span_normals())
+        """Rank of the integer directions."""
+        if self._dim is None:
+            self._dim = len(_eliminate(self._integer_directions(), jordan=False)[1])
+        return self._dim
 
     def _span_normals(self) -> list[IntVec]:
         """A basis N of the integer covectors that vanish on the direction
@@ -173,16 +180,7 @@ class Polyhedron:
         return self._perp
 
     def is_cone(self) -> bool:
-        zero = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        return self.vertices == (zero,)
-
-    def relative_interior_point(self) -> Vec:
-        """Mean of the vertices plus the sum of the rays."""
-        n = len(self.vertices)
-        p = self.vertices[0] if n == 1 else tuple(sum(c) / n for c in zip(*self.vertices))
-        if self.rays:
-            p = vadd(p, [sum(c) for c in zip(*self.rays)])
-        return p
+        return self.vertices == ((0,) * self.ambient_dim,)
 
     # -- H-representation ----------------------------------------------------
 
@@ -218,12 +216,9 @@ class Polyhedron:
         return self._satisfies(_homogenized(0, d))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
-        return all(self.contains(v) for v in other.vertices) and all(
-            self.contains_direction(r) for r in other.rays
-        ) and all(
-            self.contains_direction(l) and self.contains_direction(vscale(-1, l))
-            for l in other.lineality
-        )
+        """Whether other lies in self: the H-rep holds on each of other's
+        integer homogeneous generators, multiples of (1, v), (0, r), (0, +-l)."""
+        return all(self._satisfies(g) for g in _homogeneous_generators(other))
 
     # -- canonical form ------------------------------------------------------
 
@@ -266,13 +261,13 @@ class Polyhedron:
 def _homogeneous_generators(poly: Polyhedron) -> list[IntVec]:
     """Integer generators of the homogenization cone: a positive multiple of
     (1, v) per vertex, (0, r) per ray and (0, +-l) per lineality vector, in
-    that order. Built once per polyhedron; callers must not change the
-    list."""
+    that order; (1, v) itself when v is integral. Built once per
+    polyhedron; callers must not change the list."""
     if poly._gens is None:
-        gens = [primitive((1,) + v) for v in poly.vertices] + [(0,) + r for r in poly.rays]
-        for l in poly.lineality:
-            gens.append((0,) + l)
-            gens.append((0,) + tuple(-c for c in l))
+        gens = [(1,) + tuple(c.numerator for c in v)
+                if all(c.denominator == 1 for c in v) else primitive((1,) + v)
+                for v in poly.vertices] + [(0,) + r for r in poly.rays]
+        gens += [g for l in poly.lineality for g in ((0,) + l, (0,) + tuple(-c for c in l))]
         poly._gens = gens
     return poly._gens
 
@@ -615,19 +610,25 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
     """Exact test whether the polyhedron p is covered by the union of the
     given polyhedra, by recursive splitting along their facet hyperplanes.
 
+    Only the polyhedra C whose equalities vanish on p's homogeneous
+    generators (aff p in aff C) are kept, and only their rows split; with
+    none kept p is not covered. This is exact: any other C meets p inside a
+    proper affine subspace of aff p, a closed set with empty interior in p.
+
     A piece is integer generators of its homogenization cone, (1, v) per
     vertex and (0, r) per ray times a positive integer, each with the bitmask
     of the rows it is tight on (p's facets, then the cuts on its path), and
-    (0, l) per lineality vector. It is covered when some polyhedron's integer
-    H-rep holds on it. Otherwise the first hyperplane with the piece strictly
-    on both sides splits it (`_halfspace`); that hyperplane splits neither
-    half again, and both keep the piece's dimension. A piece no hyperplane
-    splits lies on one side of each, so it is covered iff one polyhedron
-    contains it.
+    (0, l) per lineality vector. An uncovered piece is split by the first
+    hyperplane with the piece strictly on both sides (`_halfspace`); that
+    hyperplane splits neither half again, and both keep the piece's
+    dimension. A piece no hyperplane splits lies on one side of each, so it
+    is covered iff one polyhedron contains it.
 
     A piece evaluates each hyperplane h once, as a side mask: 1 if it has a
     point with h . x < 0, 2 if it has one with h . x > 0. A polyhedron's row
-    on h forbids 1 (h . x >= 0), 2 (h . x <= 0) or both (h . x = 0).
+    on h forbids 1 (h . x >= 0), 2 (h . x <= 0) or both (h . x = 0). The
+    piece is covered iff a candidate is left once, on every hyperplane, those
+    forbidding a side the piece has (masks[i][s]) are cleared.
 
     The half a . x >= 0 of a split, and every piece split from it, keeps a
     point with a . x > 0. So a polyhedron whose row forbids that side meets
@@ -635,26 +636,26 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
     candidates (a bitmask), and a hyperplane that no candidate has no longer
     splits. A piece left with no candidate is not covered.
     """
+    pgens = _homogeneous_generators(p)
+    cones = [c for c in cones if all(vdot(e, g) == 0 for e in c.hrep()[0] for g in pgens)]
+    if not cones:
+        return False
     index: dict[IntVec, int] = {}
-    rows = []  # per polyhedron: (hyperplane index, side mask forbidden)
     # masks[i][0]: the polyhedra with a row on hyperplane i; masks[i][s]:
     # those whose row forbids side s.
     masks = []
     for k, c in enumerate(cones):
         eqs, ineqs = c.hrep()
-        row = []
         for j, a in enumerate(eqs + ineqs):
             h = sign_normalize(a)
             if h not in index:
                 index[h] = len(masks)
                 masks.append([0, 0, 0])
             forbid = 3 if j < len(eqs) else 1 if a == h else 2
-            row.append((index[h], forbid))
             m = masks[index[h]]
             m[0] |= 1 << k
             m[1] |= (forbid & 1) << k
             m[2] |= (forbid >> 1) << k
-        rows.append(row)
     hyperplanes = list(index)
 
     def sides(gens, lin):
@@ -674,8 +675,13 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
         return side
 
     def covered(side, cand) -> bool:
-        return any(cand >> k & 1 and all(not side(i) & forbid for i, forbid in row)
-                   for k, row in enumerate(rows))
+        for i, m in enumerate(masks):
+            if m[0] & cand:
+                s = side(i)
+                cand &= ~(m[1] * (s & 1) | m[2] * (s >> 1))
+                if not cand:
+                    return False
+        return cand != 0
 
     def split(gens, zeros, lin, dim, bit, cand, side) -> bool:
         for i, h in enumerate(hyperplanes):
@@ -693,7 +699,7 @@ def cone_in_union(p: Polyhedron, cones: list[Polyhedron]) -> bool:
         return False
 
     everything = (1 << len(cones)) - 1
-    side = sides(_homogeneous_generators(p), [])
+    side = sides(pgens, [])
     if covered(side, everything):
         return True
     # The adjacency test of `_cut` holds only for the extreme generators.

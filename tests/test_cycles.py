@@ -8,6 +8,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from test_linalg import cone_pairs, oracle_quotient_generator, quotient_generator
+from test_polyhedra import random_polyhedra, relative_interior_point
 from troprr.cycles import (
     CartierFunction,
     TropicalCycle,
@@ -47,6 +48,7 @@ from troprr.matroids import csm_cycle, uniform_matroid
 from troprr.polyhedra import (
     PolyhedralComplex,
     Polyhedron,
+    _homogeneous_generators,
     lineality_space,
     local_cone,
     standard_simplex,
@@ -287,8 +289,8 @@ def oracle_normal_vector(c, tau_idx, sigma_idx):
     Fraction directions, sigma's lattice from its Fraction directions, and
     the difference of the cells' relative-interior points as the side."""
     tau, sigma = c.cells[tau_idx], c.cells[sigma_idx]
-    ref = tuple(a - b for a, b in zip(sigma.relative_interior_point(),
-                                      tau.relative_interior_point()))
+    ref = tuple(a - b for a, b in zip(relative_interior_point(sigma),
+                                      relative_interior_point(tau)))
     lattice = lattice_basis_of_span(directions(sigma), c.ambient_dim)
     return oracle_quotient_generator(directions(tau), lattice, ref, c.ambient_dim)
 
@@ -301,6 +303,27 @@ def assert_normal_is_the_oracle_class(c, tau_idx, sigma_idx):
     u = oracle_normal_vector(c, tau_idx, sigma_idx)
     assert p == tuple(vdot(h, u) for h in normals), (tau_idx, sigma_idx)
     assert tuple(vdot(h, ref) for h in normals) == tuple(g * x for x in p), (tau_idx, sigma_idx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polyhedra())
+def test_normal_reference_is_the_sum_over_the_generators(sigma):
+    """At every facet tau of a random polyhedron sigma, _normal_vector's
+    ref, read off the column sums of sigma's generators, is the sum over
+    them of t0[0]·g[1:] − g[0]·t0[1:]."""
+    nv = len(sigma.vertices)
+    n = sigma.ambient_dim
+    gens = _homogeneous_generators(sigma)
+    for z in sigma.facet_generators():
+        if not z & ((1 << nv) - 1):
+            continue
+        tau = Polyhedron([v for i, v in enumerate(sigma.vertices) if z >> i & 1],
+                         [r for i, r in enumerate(sigma.rays) if z >> (nv + i) & 1],
+                         sigma.lineality)
+        c = PolyhedralComplex(n, [tau, sigma], {(0, 1)})
+        t0 = _homogeneous_generators(tau)[0]
+        assert _normal_vector(c, 0, 1)[1] == tuple(
+            sum(t0[0] * g[i] - g[0] * t0[i] for g in gens) for i in range(1, n + 1))
 
 
 def smooth_polynomial(n, d, seed):
@@ -620,7 +643,7 @@ def test_relatively_uniform_at_every_edge_of_a_smooth_surface_in_r3(d, edges):
     assert len(cells) == edges
     ambient = linear_fan([E1, E2, E3])
     for i in cells:
-        y = local_cycle(surface, c.cells[i].relative_interior_point())
+        y = local_cycle(surface, relative_interior_point(c.cells[i]))
         assert relatively_uniform(y, ambient) == UniformityResult("true"), i
 
 
@@ -637,7 +660,7 @@ def test_relatively_uniform_matches_the_gram_projection_on_hypersurfaces(n, d, s
         curve = tropical_hypersurface(
             polynomial_from_heights(n, pts, [rng.randint(-3, 3) for _ in pts]))
         for i in sorted(curve.complex.faces_closure(curve.support_cells())):
-            y = local_cycle(curve, curve.complex.cells[i].relative_interior_point())
+            y = local_cycle(curve, relative_interior_point(curve.complex.cells[i]))
             result = relatively_uniform(y, ambient)
             assert result == oracle_relatively_uniform(y, ambient)
             statuses.add(result.status)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from test_polyhedra import relative_interior_point
 from troprr import hypersurface
 from troprr.cycles import (
     CartierFunction,
@@ -499,7 +500,7 @@ def searched_pieces(f, cycle):
     pieces = {}
     for i in sorted(cycle.weights):
         cell = cycle.complex.cells[i]
-        p = cell.relative_interior_point()
+        p = relative_interior_point(cell)
         vals = [(vdot(e, p) + c, e, c) for e, c in terms]
         m = max(v for v, _, _ in vals)
         pieces[i] = next(((e, c) for v, e, c in vals if v == m and all(

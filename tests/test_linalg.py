@@ -55,6 +55,14 @@ def test_primitive_scaling():
         primitive((0, 0))
 
 
+def test_vdot_checks_the_lengths():
+    assert vdot((1, Fraction(1, 2)), (4, 2)) == 5
+    assert vdot((), ()) == 0
+    for u, v in (((1, 2), (1, 2, 3)), ((), (1,)), ((1,), ())):
+        with pytest.raises(ValueError):
+            vdot(u, v)
+
+
 def test_sign_normalize():
     assert sign_normalize((-1, 2)) == (1, -2)
     assert sign_normalize((0, -3)) == (0, 3)

@@ -170,6 +170,10 @@ def test_bergman_complex_builds_each_flat_generator_once(monkeypatch):
 
 
 def test_balancing_runs_at_most_one_hermite_form_per_cell(monkeypatch):
+    """A cell's dimension is the rank of its integer directions, so building
+    bergman_fan(U(4, 7)) runs no Hermite form; balancing it runs at most one
+    per codimension-1 cone (252), and the fan and its CSM cycles at most one
+    per cell."""
     calls = []
     real = linalg._hermite
 
@@ -182,7 +186,9 @@ def test_balancing_runs_at_most_one_hermite_form_per_cell(monkeypatch):
     monkeypatch.setattr(matroids, "_last_complex", {})
     m = uniform_matroid(4, 7)
     fan = bergman_fan(m)
+    assert calls == []
     assert check_balancing(fan).ok
+    assert 0 < len(calls) <= 252
     for k in range(m.rank_value):
         assert check_balancing(csm_cycle(m, k)).ok
     assert 0 < len(calls) <= len(fan.complex.cells)

@@ -12,7 +12,7 @@ from troprr.hypersurface import (
     smooth_simplex_polynomial,
     tropical_hypersurface,
 )
-from troprr import polyhedra
+from troprr import hypersurface, matroids, polyhedra
 from troprr.linalg import (
     _eliminate,
     _kernel_rows,
@@ -26,6 +26,7 @@ from troprr.linalg import (
     solve_linear,
     vadd,
     vdot,
+    vscale,
 )
 from troprr.matroids import bergman_complex, bergman_fan, graphic_matroid, uniform_matroid
 from troprr.polyhedra import (
@@ -46,6 +47,16 @@ from troprr.polyhedra import (
     standard_simplex,
     validate_complex,
 )
+
+
+def relative_interior_point(p):
+    """Mean of the vertices plus the sum of the rays: a point of the
+    relative interior of the polyhedron p."""
+    n = len(p.vertices)
+    x = p.vertices[0] if n == 1 else tuple(sum(c) / n for c in zip(*p.vertices))
+    if p.rays:
+        x = vadd(x, [sum(c) for c in zip(*p.rays)])
+    return x
 
 
 def tropical_line_complex():
@@ -201,7 +212,7 @@ def test_local_cone_runs_no_v_to_h_once_the_cells_have_their_h_reps(monkeypatch)
     c = curve.complex
     for cell in c.cells:
         cell.hrep()
-    points = [cell.relative_interior_point() for cell in c.cells]
+    points = [relative_interior_point(cell) for cell in c.cells]
     calls = []
     original = polyhedra._hrep_from_vrep
 
@@ -391,9 +402,11 @@ def directions(n):
 
 
 @st.composite
-def random_polyhedra(draw):
-    """A polytope, a cone, or a polyhedron with lineality, in R^1..R^3."""
-    n = draw(st.integers(1, 3))
+def random_polyhedra(draw, n=None):
+    """A polytope, a cone, or a polyhedron with lineality, in R^1..R^3 (in
+    R^n when n is given)."""
+    if n is None:
+        n = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(("polytope", "cone", "lineality")))
     if kind == "polytope":
         return Polyhedron(draw(st.lists(points(n), min_size=1, max_size=6)))
@@ -481,6 +494,89 @@ def test_containment_matches_fraction_evaluation(p, data):
         assert p.contains(RationalPoint(x)) == p.contains(x)
         assert p.contains_direction(x) == holds((Fraction(0),) + fx)
     assert all(p.contains_direction(r) for r in p.rays)
+
+
+def per_vertex_contains_polyhedron(c, other):
+    """contains_polyhedron as it was: each vertex of other through
+    ``contains``, each ray and each lineality vector and its negative
+    through ``contains_direction``."""
+    return all(c.contains(v) for v in other.vertices) and all(
+        c.contains_direction(r) for r in other.rays
+    ) and all(
+        c.contains_direction(l) and c.contains_direction(vscale(-1, l))
+        for l in other.lineality
+    )
+
+
+@st.composite
+def containment_pairs(draw):
+    """(c, q) in one R^n: q is another random polyhedron, or is built from
+    c's generators (some vertices and the midpoint of two, some rays, some
+    lineality vectors, a lineality vector as a ray), sometimes with a random
+    point, ray or line added, so that both outcomes occur."""
+    c = draw(random_polyhedra())
+    n = c.ambient_dim
+    if draw(st.integers(0, 2)) == 0:
+        return c, draw(random_polyhedra(n))
+    vs = draw(st.lists(st.sampled_from(c.vertices), min_size=1, max_size=3))
+    vs.append(tuple((a + b) / 2 for a, b in zip(vs[0], vs[-1])))
+    rays = draw(st.lists(st.sampled_from(c.rays), max_size=2)) if c.rays else []
+    lin = draw(st.lists(st.sampled_from(c.lineality), max_size=2)) if c.lineality else []
+    if c.lineality and draw(st.booleans()):
+        rays.append(vscale(-1, c.lineality[0]))
+    extra = draw(st.integers(0, 3))
+    if extra == 1:
+        vs.append(draw(points(n)))
+    elif extra == 2:
+        rays.append(draw(directions(n)))
+    elif extra == 3:
+        lin.append(draw(directions(n)))
+    return c, Polyhedron(vs, rays, lin)
+
+
+CONTAINMENT_EXAMPLES = [
+    # a half-plane with lineality against a rational point, a ray and a line
+    (Polyhedron([(0, 0)], [(1, 0)], [(0, 1)]),
+     Polyhedron([(Fraction(1, 2), 3)], [(1, 1)], [(0, 1)]), True),
+    (Polyhedron([(0, 0)], [(1, 0)], [(0, 1)]),
+     Polyhedron([(Fraction(1, 2), 3)], [], [(1, 0)]), False),
+    (Polyhedron([(0, 0)], [(1, 0)], [(0, 1)]), Polyhedron([(Fraction(-1, 3), 0)]), False),
+    # a rational triangle and a segment of it, and one leaving it
+    (Polyhedron([(0, 0), (Fraction(3, 2), 0), (0, Fraction(3, 2))]),
+     Polyhedron([(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(3, 4))]), True),
+    (Polyhedron([(0, 0), (Fraction(3, 2), 0), (0, Fraction(3, 2))]),
+     Polyhedron([(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(4, 5))]), False),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(containment_pairs())
+def test_contains_polyhedron_matches_the_per_vertex_test(pair):
+    c, q = pair
+    assert c.contains_polyhedron(q) == per_vertex_contains_polyhedron(c, q)
+
+
+@pytest.mark.parametrize("c,q,expected", CONTAINMENT_EXAMPLES)
+def test_contains_polyhedron_examples(c, q, expected):
+    assert c.contains_polyhedron(q) == per_vertex_contains_polyhedron(c, q) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polyhedra())
+def test_dim_is_the_rank_of_the_directions(p):
+    d = p.dim
+    assert p._perp is None
+    assert d == p.ambient_dim - len(p._span_normals())
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_polyhedra())
+def test_homogeneous_generators_are_primitive(p):
+    gens = polyhedra._homogeneous_generators(p)
+    nv = len(p.vertices)
+    assert gens[:nv] == [primitive((1,) + v) for v in p.vertices]
+    assert gens[nv:] == [tuple(int(x) for x in g) for g in homogeneous_generators(p)[nv:]]
+    assert all(type(x) is int for g in gens for x in g)
 
 
 # -- V->H by double description, against the subset enumeration it replaced ---
@@ -1015,6 +1111,20 @@ COVER_EXAMPLES = [
      [Polyhedron([(0, 0), (2, 0), (2, 2)]), Polyhedron([(0, 0), (2, 2), (0, 2)])], True),
     (Polyhedron([(0, 0), (2, 0), (2, 2), (0, 2)]),
      [Polyhedron([(0, 0), (2, 0), (2, 2)]), Polyhedron([(0, 0), (2, 2), (1, 2)])], False),
+    # rays whose affine hull misses the quadrant, beside wedges that cover
+    # it and beside one wedge short of it
+    (QUADRANT, [cone([(1, 0)]), cone([(1, 1)]), cone([(0, 1)]),
+                cone([(1, 0), (1, 1)]), cone([(1, 1), (0, 1)])], True),
+    (QUADRANT, [cone([(1, 0)]), cone([(1, 1)]), cone([(0, 1)]), cone([(1, 0), (1, 1)])],
+     False),
+    # a 2-cell in R^3 inside a 3-cone, and split between two 3-cones beside
+    # a plane that misses it
+    (cone([(1, 0, 0), (0, 1, 0)]), [cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])], True),
+    (cone([(1, 0, 0), (0, 1, 0)]),
+     [cone([(1, 0, 1), (0, 1, 1)]), cone([(1, 0, 0), (1, 1, 0), (0, 0, 1)]),
+      cone([(1, 1, 0), (0, 1, 0), (0, 0, -1)])], True),
+    # a half-plane against rays only: every cone is pruned
+    (cone([(1, 0)], [(0, 1)]), [cone([(1, 0)]), cone([(0, 1)]), cone([(0, -1)])], False),
 ]
 
 
@@ -1032,17 +1142,43 @@ def test_cone_in_union_examples(p, cones, expected):
         splitting_cone_in_union(p, cones) == expected
 
 
-def support_identity_cases(r):
+def test_cover_tests_cut_only_on_the_cones_whose_affine_hull_holds_p(monkeypatch):
+    """Every cut of a cover test is on a row of a polyhedron whose affine
+    hull contains p; with no such polyhedron p is not covered and no piece
+    is cut."""
+    original = polyhedra._halfspace
+    cuts = []
+
+    def recording(gens, zeros, lin, dim, a, bit):
+        cuts.append(sign_normalize(a))
+        return original(gens, zeros, lin, dim, a, bit)
+
+    monkeypatch.setattr(polyhedra, "_halfspace", recording)
+    pruned = 0
+    for p, cones, expected in COVER_EXAMPLES:
+        gens = homogeneous_generators(p)
+        kept = [c for c in cones if all(vdot(e, g) == 0 for e in c.hrep()[0] for g in gens)]
+        pruned += len(cones) - len(kept)
+        rows = {sign_normalize(a) for c in kept for a in c.hrep()[0] + c.hrep()[1]}
+        cuts.clear()
+        assert cone_in_union(p, cones) == expected
+        assert set(cuts) <= rows
+        if not kept:
+            assert not cuts and not expected
+    assert pruned >= 8
+
+
+def support_identity_cases(r, layers=None):
     """(weighted cell, Bergman cones, expected) for the j-th power of the
-    hyperplane in R^r: inside the fan of U(r - j, r + 1), and not inside the
-    smaller fan of U(r - j - 1, r + 1)."""
+    hyperplane in R^r, for every j < r or each j in layers: inside the fan
+    of U(r - j, r + 1), and not inside the smaller fan of U(r - j - 1, r + 1)."""
     terms = {tuple(0 for _ in range(r)): 0}
     for i in range(r):
         terms[tuple(int(i == j) for j in range(r))] = 0
     f = TropicalPolynomial(r, terms)
     tower = power_tower(f, tropical_hypersurface(f))
     out = []
-    for j in range(r):
+    for j in range(r) if layers is None else layers:
         layer = tower.layers[j]
         for k, expected in ((r - j, True), (r - j - 1, False)):
             if k >= 1:
@@ -1100,3 +1236,28 @@ def test_no_split_path_repeats_a_hyperplane(monkeypatch):
         path.clear()
         assert cone_in_union(p, cones) == expected
     assert max(depths) >= 3
+
+
+def test_kernel_calls_of_the_rank_4_layer_0_cover_tests(monkeypatch):
+    """The cover tests of the rank-4 support identity's layer 0 (10 cells
+    against the 60 cones of U(4, 5) and the 20 of U(3, 5)), on fresh
+    complexes: one V->H conversion per polyhedron (90) and at most 100
+    double-description cuts (the cover test made 159 before it pruned by
+    affine hull)."""
+    monkeypatch.setattr(hypersurface, "_subdivisions", {})
+    monkeypatch.setattr(matroids, "_last_complex", {})
+    cases = support_identity_cases(4, [0])
+    assert len(cases) == 20
+    calls = {"_cut": 0, "_hrep_from_vrep": 0}
+    for name in calls:
+        original = getattr(polyhedra, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(polyhedra, name, counting)
+    for p, cones, expected in cases:
+        assert cone_in_union(p, cones) == expected
+    assert calls["_hrep_from_vrep"] <= 90
+    assert calls["_cut"] <= 100
