@@ -160,16 +160,13 @@ class CartierFunction:
                     )
 
 
-def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> TropicalCycle:
+def divisor_intersect(phi: CartierFunction) -> TropicalCycle:
     """Corner locus of phi on its cycle: the codimension-1 cycle whose
     weight at tau is sum w_sigma (l_sigma − l_tau)(u_sigma), l the linear
     parts of phi and u_sigma sigma's lattice normal; zero-weight cells are
     dropped. The sum depends on the classes of the u_sigma in Z^n / L(tau)
     only, and ref / g stands for that class (``_normal_vector``)."""
-    if a is None:
-        a = phi.cycle
-    if a is not phi.cycle:
-        raise ValueError("phi is not defined on the given cycle")
+    a = phi.cycle
     complex_ = a.complex
     if a.dim == 0 or a.is_empty():
         return TropicalCycle(complex_, max(a.dim - 1, 0), {})
@@ -193,34 +190,21 @@ def divisor_intersect(phi: CartierFunction, a: TropicalCycle | None = None) -> T
 
 
 class DivisorPowerTower:
-    """Cycles X, D.X, D^2.X, ... sharing one master complex, with supports."""
+    """Cycles X, D.X, D^2.X, ... sharing one master complex."""
 
     def __init__(self, layers: list[TropicalCycle]):
         self.layers = layers
 
-    def support(self, k: int) -> set[int]:
-        """Cell indices of |D^k| (closure) in the master complex; k = 0 gives
-        the full support of X."""
-        if k >= len(self.layers):
-            return set()
-        return self.layers[k].support_cells()
 
-
-def power_tower(f, x_cycle: TropicalCycle, kmax: int | None = None) -> DivisorPowerTower:
+def power_tower(f, x_cycle: TropicalCycle) -> DivisorPowerTower:
     """Iterate the divisor pairing of a tropical polynomial f on a cycle,
-    restricting f to each successive support."""
+    restricting f to each successive support, until a layer is empty or of
+    dimension 0: at most x_cycle.dim pairings."""
     from .hypersurface import cartier_from_polynomial  # cycle-free layering
 
-    if kmax is None:
-        kmax = x_cycle.dim
     layers = [x_cycle]
-    current = x_cycle
-    for _ in range(kmax):
-        if current.is_empty() or current.dim == 0:
-            break
-        phi = cartier_from_polynomial(f, current)
-        current = divisor_intersect(phi)
-        layers.append(current)
+    while layers[-1].dim > 0 and not layers[-1].is_empty():
+        layers.append(divisor_intersect(cartier_from_polynomial(f, layers[-1])))
     return DivisorPowerTower(layers)
 
 

@@ -99,7 +99,7 @@ def toric_strata(f: TropicalPolynomial) -> list[FaceStratum]:
             continue
         ff = face_polynomial(f, p, fverts)
         base = ambient_cycle(ff)
-        tower = power_tower(ff, base, kmax=fdim)
+        tower = power_tower(ff, base)
         out.append(FaceStratum(fdim, fverts, ff, tower))
     return out
 

@@ -6,7 +6,6 @@ complex of their tropical product."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,16 +78,25 @@ class RegularSubdivision:
 
     def faces(self):
         """All faces of all maximal cells as (member frozenset, dim), each
-        listed once; members are ALL exponents of f lying on the face. Every
-        facet of a maximal cell is its intersection with a neighbouring cell
-        or with a Newton-polytope facet, so the faces are the cells' exponent
-        sets closed under intersection with those sets."""
+        listed once, sorted by dim and then members; members are ALL
+        exponents of f lying on the face. Every facet of a face F of a
+        maximal cell C lies in a facet of C that misses F, which is C cut by
+        a neighbouring cell or by a Newton-polytope facet; so the faces are
+        the cells' exponent sets closed under intersection with those sets,
+        and the walk that closes them also finds each face's facets
+        (``covers``)."""
         if not hasattr(self, "_faces"):
             cells = [exps for exps, _x in self.maximal_cells]
             tight = cells + [exps for exps, _outer in self.facets]
-            self._faces = [(frozenset(members), d)
-                           for d, members in _faces_from_facets(cells, tight)]
+            faces, self._covers = _faces_from_facets(cells, tight)
+            self._faces = [(frozenset(members), d) for d, members in faces]
         return self._faces
+
+    def covers(self) -> list[tuple[int, int]]:
+        """The face relation: pairs (i, j) of indices into ``faces()`` where
+        face i is a facet of face j."""
+        self.faces()
+        return self._covers
 
     def is_smooth(self) -> bool:
         """All maximal cells are unimodular simplices."""
@@ -164,8 +172,9 @@ def is_smooth(f: TropicalPolynomial) -> bool:
 class DualComplex(PolyhedralComplex):
     """The complex dual to the faces of a regular subdivision of a
     polynomial's Newton polytope: cell i is dual to the face whose members
-    (every exponent on it) are ``faces[i]``; ``terms`` are the polynomial's
-    terms, which fix the subdivision."""
+    (every exponent on it) are ``faces[i]``, and a face of dim d gives a cell
+    of dim n - d; ``terms`` are the polynomial's terms, which fix the
+    subdivision."""
 
     def __init__(self, ambient_dim: int, cells, face_relation, terms: dict, faces: list):
         super().__init__(ambient_dim, cells, face_relation)
@@ -173,11 +182,10 @@ class DualComplex(PolyhedralComplex):
         self.faces = faces
 
 
-def _dual_complex(sub: RegularSubdivision, min_face_dim: int):
-    """Complex of cells dual to the subdivision faces of dim >= min_face_dim,
-    built once per subdivision and min_face_dim (complexes are never changed
-    after construction, so the cycles built on it share it). Returns
-    (complex, {face members -> cell index}, face list)."""
+def _dual_complex(sub: RegularSubdivision, min_face_dim: int) -> DualComplex:
+    """The complex of cells dual to the subdivision faces of dim >=
+    min_face_dim, built once per subdivision and min_face_dim (complexes are
+    never changed after construction, so the cycles built on it share it)."""
     if not hasattr(sub, "_dual_complexes"):
         sub._dual_complexes = {}
     if min_face_dim not in sub._dual_complexes:
@@ -185,12 +193,14 @@ def _dual_complex(sub: RegularSubdivision, min_face_dim: int):
     return sub._dual_complexes[min_face_dim]
 
 
-def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int):
+def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int) -> DualComplex:
     """The cell dual to a face F of the subdivision is the closed region
     where every member of F attains the max (Maclagan-Sturmfels,
     Introduction to Tropical Geometry, Prop. 3.1.6). Its vertices are the
     dual vertices of the maximal cells containing F, and its rays the
     primitive outer normals of the Newton-polytope facets containing F.
+    Cells come in face order, and a facet G of F makes F's cell a facet of
+    G's: the face relation is the subdivision's covers, reversed.
 
     These generators are already irredundant, so the cell is not
     canonicalized: distinct maximal cells have distinct dual vertices (each
@@ -201,25 +211,19 @@ def _build_dual_complex(sub: RegularSubdivision, min_face_dim: int):
     cone, the region's recession cone."""
     n = sub.polynomial.n
     faces = [(members, d) for members, d in sub.faces() if d >= min_face_dim]
+    # The faces are sorted by dim, so the kept ones are the last len(faces).
+    skip = len(sub.faces()) - len(faces)
     cells = []
-    index: dict[frozenset, int] = {}
     for members, d in faces:
         dual_verts = [x for exps, x in sub.maximal_cells if members <= exps]
         rays = [outer for tight, outer in sub.facets if members <= tight]
         cell = Polyhedron(dual_verts, rays=rays)
         if cell.dim != n - d:
             raise ValueError("dual cell of unexpected dimension")
-        index[members] = len(cells)
         cells.append(cell)
-    relation = set()
-    for (m1, d1), (m2, d2) in itertools.combinations(faces, 2):
-        if d2 == d1 + 1 and m1 < m2:
-            relation.add((index[m2], index[m1]))
-        elif d1 == d2 + 1 and m2 < m1:
-            relation.add((index[m1], index[m2]))
-    complex_ = DualComplex(n, cells, relation, sub.polynomial.terms,
-                           [members for members, _d in faces])
-    return complex_, index, faces
+    relation = {(j - skip, i - skip) for i, j in sub.covers() if i >= skip}
+    return DualComplex(n, cells, relation, sub.polynomial.terms,
+                       [members for members, _d in faces])
 
 
 def tropical_hypersurface(f: TropicalPolynomial) -> TropicalCycle:
@@ -229,13 +233,12 @@ def tropical_hypersurface(f: TropicalPolynomial) -> TropicalCycle:
     the lattice lengths of the dual subdivision edges."""
     sub = _subdivision_of(f)
     n = f.n
-    complex_, index, faces = _dual_complex(sub, 1)
+    complex_ = _dual_complex(sub, 1)
     weights = {}
-    for members, d in faces:
-        if d != 1:
-            continue
-        # The members of an edge lie on a line; its ends are the extremes.
-        weights[index[members]] = gcd_list(vsub(max(members), min(members)))
+    for i, members in enumerate(complex_.faces):
+        if complex_.cells[i].dim == n - 1:
+            # The members of an edge lie on a line; its ends are the extremes.
+            weights[i] = gcd_list(vsub(max(members), min(members)))
     cycle = TropicalCycle(complex_, n - 1, weights)
     cycle.subdivision = sub
     return cycle
@@ -247,8 +250,8 @@ def ambient_cycle(f: TropicalPolynomial) -> TropicalCycle:
     affine on every cell; the base of divisor power towers."""
     sub = _subdivision_of(f)
     n = f.n
-    complex_, index, faces = _dual_complex(sub, 0)
-    weights = {index[members]: 1 for members, d in faces if d == 0}
+    complex_ = _dual_complex(sub, 0)
+    weights = {i: 1 for i, cell in enumerate(complex_.cells) if cell.dim == n}
     cycle = TropicalCycle(complex_, n, weights)
     cycle.subdivision = sub
     return cycle
@@ -311,15 +314,14 @@ def restrict_to_hypersurface(g: TropicalPolynomial, f: TropicalPolynomial) -> Ca
         for b, cb in g.terms.items():
             pairs.setdefault(vadd(a, b), []).append((ca + cb, a, b))
     prod = TropicalPolynomial(f.n, {c: max(v for v, _a, _b in ps) for c, ps in pairs.items()})
-    complex_, index, faces = _dual_complex(_subdivision_of(prod), 1)
+    complex_ = _dual_complex(_subdivision_of(prod), 1)
     weights, pieces = {}, {}
-    for members, d in faces:
-        if d != 1:
+    for i, members in enumerate(complex_.faces):
+        if complex_.cells[i].dim != f.n - 1:
             continue
         split = [(a, b) for c in members for v, a, b in pairs[c] if v == prod.terms[c]]
         edge = {a for a, _b in split}
         if len(edge) > 1:
-            i = index[members]
             weights[i] = gcd_list(vsub(max(edge), min(edge)))
             e = min(b for _a, b in split)
             pieces[i] = (e, g.terms[e])

@@ -235,12 +235,15 @@ def polynomial_from_json(data: dict, path: str = "$") -> TropicalPolynomial:
     raw = data.get("terms")
     _expect(isinstance(raw, list) and raw, f"{path}.terms",
             "expected a nonempty list")
-    terms = {}
+    terms, first = {}, {}
     for i, tdata in enumerate(raw):
         tpath = f"{path}.terms[{i}]"
         _expect(isinstance(tdata, dict), tpath, "expected an object")
         e = _int_vec(tdata.get("exp"), f"{tpath}.exp")
         _expect(len(e) == n, f"{tpath}.exp", f"expected {n} exponents")
+        _expect(e not in first, f"{tpath}.exp",
+                f"duplicate exponent {list(e)} (first at {path}.terms[{first.get(e)}])")
+        first[e] = i
         terms[e] = _finite(tdata.get("coeff"), f"{tpath}.coeff")
     e0 = next(iter(terms))
     _expect(matrix_rank([[a - b for a, b in zip(e, e0)] for e in terms]) == n,

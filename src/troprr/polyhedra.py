@@ -464,9 +464,6 @@ class PolyhedralComplex:
                     frontier.append(a)
         return out
 
-    def support_contains(self, point) -> bool:
-        return any(c.contains(point) for c in self.cells)
-
     def cells_containing(self, point) -> list[int]:
         return [i for i, c in enumerate(self.cells) if c.contains(point)]
 
@@ -789,7 +786,7 @@ class LatticePolytope:
         incidence, closed under intersection."""
         return _faces_from_facets([self.vertices], [
             [v for i, v in enumerate(self.vertices) if z >> i & 1]
-            for z in self._poly.facet_generators()])
+            for z in self._poly.facet_generators()])[0]
 
     def __eq__(self, other):
         return isinstance(other, LatticePolytope) and self.vertices == other.vertices
@@ -801,27 +798,38 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, vertices={self.vertices})"
 
 
-def _faces_from_facets(tops, facets) -> list[tuple[int, tuple]]:
+def _faces_from_facets(tops, facets) -> tuple[list[tuple[int, tuple]], list[tuple[int, int]]]:
     """The point sets ``tops`` closed under intersection with the point sets
     ``facets``, as sorted (dim, sorted members) for every nonempty set, the
-    dim being the rank of the members' differences. With a polytope's point
-    set as the top and its facets' point sets as facets, these are its faces:
-    every face is the intersection of the facets that contain it (Ziegler,
-    Lectures on Polytopes, Thm 2.7)."""
+    dim being the rank of the members' differences; and the covers: pairs
+    (i, j) of indices into that list where set i is set j cut by a facet set
+    and one dimension lower. With a polytope's point set as the top and its
+    facets' point sets as facets, these are its faces, every face being the
+    intersection of the facets that contain it (Ziegler, Lectures on
+    Polytopes, Thm 2.7), and the covers are its whole face relation: a facet
+    of a face F is F cut by a facet of the polytope that misses F."""
     facets = [frozenset(s) for s in facets]
-    found: set[frozenset] = set()
-    frontier = [frozenset(t) for t in tops]
+    found: dict[frozenset, tuple[int, tuple]] = {}
+    frontier: list[frozenset] = []
+
+    def reach(face):
+        if face not in found:
+            pts = tuple(sorted(face))
+            found[face] = (matrix_rank([vsub(q, pts[0]) for q in pts[1:]]), pts)
+            frontier.append(face)
+
+    for t in tops:
+        reach(frozenset(t))
+    covers = []
     while frontier:
         face = frontier.pop()
-        if face in found:
-            continue
-        found.add(face)
-        frontier.extend(sub for sub in (face & s for s in facets) if sub and sub not in found)
-    out = []
-    for face in found:
-        pts = sorted(face)
-        out.append((matrix_rank([vsub(q, pts[0]) for q in pts[1:]]), tuple(pts)))
-    return sorted(out)
+        for sub in {face & s for s in facets if not face.isdisjoint(s)}:
+            reach(sub)
+            if found[sub][0] == found[face][0] - 1:
+                covers.append((sub, face))
+    order = sorted(found, key=found.get)
+    index = {face: i for i, face in enumerate(order)}
+    return [found[face] for face in order], [(index[g], index[f]) for g, f in covers]
 
 
 def normalized_volume(simplex_points) -> int:

@@ -195,9 +195,14 @@ def test_bad_polygon_json_exits_1_with_json_path(polygon, message, capsys):
      ' {"exp": [1,0], "coeff": "0"}]}', "$.terms: Newton polytope must be full-dimensional"),
     (["euler", "hypersurface"], '{"n": -1, "terms": [{"exp": [], "coeff": 0}]}',
      "$.n: expected n >= 0"),
+    *[(["euler", "hypersurface"], '{"n": 2, "terms": [{"exp": [0,0], "coeff": "0"},'
+       ' {"exp": [1,0], "coeff": "%s"}, {"exp": [0,1], "coeff": "0"},'
+       ' {"exp": [1,0], "coeff": "%s"}]}' % coeffs,
+       "$.terms[3].exp: duplicate exponent [1, 0] (first at $.terms[1])")
+      for coeffs in [(5, 0), (0, 5)]],
 ], ids=["no-vertex", "endpoint", "disconnected", "superscript-index", "unequal-bases",
         "outside-ground", "ground-size", "rank-0", "loops", "not-full-dimensional",
-        "negative-n"])
+        "negative-n", "repeated-exponent-max-first", "repeated-exponent-max-last"])
 def test_invalid_json_input_exits_1_with_json_path(commands, data, message, capsys):
     for command in commands:
         assert main([command, data]) == 1

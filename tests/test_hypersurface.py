@@ -176,7 +176,7 @@ def test_tower_supports_are_nested():
     x = tropical_hypersurface(f)
     tower = power_tower(f, x)
     for k in range(len(tower.layers) - 1):
-        assert tower.support(k + 1) <= tower.support(k)
+        assert tower.layers[k + 1].support_cells() <= tower.layers[k].support_cells()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -272,12 +272,10 @@ def test_cached_dual_complex_equals_a_fresh_build(f):
     for min_face_dim in (0, 1):
         cached = _dual_complex(sub, min_face_dim)
         assert _dual_complex(sub, min_face_dim) is cached
-        complex_, index, faces = cached
-        fresh, fresh_index, fresh_faces = _build_dual_complex(
-            regular_subdivision(f), min_face_dim)
-        assert [_cell_key(c) for c in complex_.cells] == [_cell_key(c) for c in fresh.cells]
-        assert complex_.face_relation == fresh.face_relation
-        assert index == fresh_index and faces == fresh_faces
+        fresh = _build_dual_complex(regular_subdivision(f), min_face_dim)
+        assert [_cell_key(c) for c in cached.cells] == [_cell_key(c) for c in fresh.cells]
+        assert cached.face_relation == fresh.face_relation
+        assert cached.faces == fresh.faces
 
 
 def test_cycles_of_one_polynomial_share_the_dual_complex(subdivision_calls):
@@ -334,6 +332,21 @@ def enumerating_facets(f):
         )
         out.add((tight, primitive(tuple(-c for c in h[1:]))))
     return out
+
+
+def all_pairs_relation(sub, min_face_dim):
+    """Reference face relation of the dual complex: every pair of the
+    reference subdivision faces of dim >= min_face_dim tested for inclusion,
+    the cells numbered in face order."""
+    faces = [(members, d) for members, d in per_cell_faces(sub) if d >= min_face_dim]
+    index = {members: i for i, (members, _d) in enumerate(faces)}
+    relation = set()
+    for (m1, d1), (m2, d2) in itertools.combinations(faces, 2):
+        if d2 == d1 + 1 and m1 < m2:
+            relation.add((index[m2], index[m1]))
+        elif d1 == d2 + 1 and m2 < m1:
+            relation.add((index[m1], index[m2]))
+    return relation
 
 
 def per_cell_faces(sub):
@@ -515,13 +528,17 @@ def searched_pieces(f, cycle):
 @example(TropicalPolynomial(3, {p: -(p[0] == 1) for p in itertools.product(
     range(3), range(2), range(2))}))
 @example(smooth_simplex_polynomial(3, 2))
+@example(smooth_simplex_polynomial(4, 2))
 def test_subdivision_read_offs_match_the_computations_they_replace(f):
     assume(newton_polytope(f).dim == f.n)
     sub = regular_subdivision(f)
-    # Dual cells are irredundant as built.
     for min_face_dim in (0, 1):
-        for cell in _build_dual_complex(sub, min_face_dim)[0].cells:
+        complex_ = _build_dual_complex(sub, min_face_dim)
+        # Dual cells are irredundant as built.
+        for cell in complex_.cells:
             assert _cell_key(cell) == _cell_key(cell.canonicalize())
+        # The relation read off the covers is the all-pairs one.
+        assert complex_.face_relation == all_pairs_relation(sub, min_face_dim)
     # Dual-face pieces are the searched ones on every tower layer.
     for base in (ambient_cycle(f), tropical_hypersurface(f)):
         for layer in power_tower(f, base).layers:

@@ -288,6 +288,22 @@ def test_polytope_faces_of_square():
     assert dims == [0, 0, 0, 0, 1, 1, 1, 1, 2]
 
 
+@pytest.mark.parametrize("n,d", [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)])
+def test_simplex_faces_are_its_vertex_subsets(n, d):
+    """The faces of d*Delta_n are its nonempty vertex subsets, sorted by dim
+    and then vertices, and a face covers the subsets one vertex smaller."""
+    verts = standard_simplex(n, d).vertices
+    expected = sorted((k - 1, s) for k in range(1, n + 2)
+                      for s in itertools.combinations(verts, k))
+    assert standard_simplex(n, d).faces() == expected
+    faces, covers = polyhedra._faces_from_facets(
+        [verts], [[v for v in verts if v != w] for w in verts])
+    assert faces == expected
+    assert sorted(covers) == [(i, j) for i, (di, vi) in enumerate(faces)
+                              for j, (dj, vj) in enumerate(faces)
+                              if dj == di + 1 and set(vi) < set(vj)]
+
+
 # -- faces as intersections of facets, against the recursive walk -------------
 
 
